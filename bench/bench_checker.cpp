@@ -14,8 +14,8 @@
 //                replays against the serial per-pair trace contract.
 //
 // `--json-out <file>` writes the rows as JSON (schema "checker_scaling");
-// CI's perf-smoke job runs it next to bench_sweep_scaling and checks that
-// the makespan does not regress with threads. `--threads <n>` restricts the
+// CI's perf-smoke job runs it with IBVS_FIG7_LARGE=1 and checks that the
+// makespan does not regress with threads at any topology. `--threads <n>` restricts the
 // sweep to one thread count; default sweeps 1/2/4/8. IBVS_FIG7_LARGE=1 adds
 // the 5832-node tree (the acceptance topology for the single-thread win).
 #include <benchmark/benchmark.h>
@@ -42,8 +42,7 @@ struct Row {
   double checker_us = 0.0;
 };
 
-/// One booted paper tree with an SM attached to the last host slot (the
-/// same harness shape as bench_sweep_scaling).
+/// One booted paper tree with an SM attached to the last host slot.
 struct Subnet {
   Fabric fabric;
   std::unique_ptr<sm::SubnetManager> smgr;
@@ -69,13 +68,14 @@ Row measure(Subnet& net, const std::string& topo, std::size_t threads) {
   row.threads = threads;
   ThreadPool::set_global_threads(threads);
 
-  // Same checker shape as the sweep-scaling baseline: 16 sampled sources,
-  // every active LID. Min of several runs — makespan free of first-touch
-  // and scheduler noise.
+  // 16 sampled sources, every active LID. Min of several runs — makespan
+  // free of first-touch and scheduler noise; below the checker's work-size
+  // cutoff every thread count runs the same inline pass, so the CI gate's
+  // noise allowance there leans on this minimum.
   const inject::FabricChecker checker(
       *net.smgr, inject::CheckerConfig{.max_violations = 16,
                                        .max_sources = 16});
-  constexpr int kRuns = 5;
+  constexpr int kRuns = 15;
   for (int i = 0; i < kRuns; ++i) {
     Stopwatch watch;
     const auto report = checker.check();
@@ -143,10 +143,10 @@ std::vector<Row> run_sweep(const std::vector<std::size_t>& thread_counts) {
     }
   }
   bench::rule(100);
-  std::printf("Shape to reproduce: the reachability pass shards targets "
-              "across workers, so makespan\nmust not grow with threads; "
-              "per-pair results stay byte-identical to a serial trace "
-              "scan.\n\n");
+  std::printf("Shape to reproduce: the reachability pass runs inline below "
+              "its work-size cutoff and\nshards targets across workers above "
+              "it, so makespan must not grow with threads;\nper-pair results "
+              "stay byte-identical to a serial trace scan.\n\n");
   return rows;
 }
 

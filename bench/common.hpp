@@ -114,8 +114,8 @@ inline std::uint64_t consume_seed(int& argc, char** argv,
   return parsed;
 }
 
-/// `--threads <n>`: sizes the global thread pool for the sweep fast paths
-/// (0 restores the default: IBVS_THREADS, else hardware concurrency).
+/// `--threads <n>`: sizes the global thread pool routing and the checker
+/// fan out on (0 restores the default: IBVS_THREADS, else hardware concurrency).
 /// Returns the pool size in effect so benches can report it.
 inline std::size_t consume_threads(int& argc, char** argv) {
   const auto value = consume_flag_value(argc, argv, "--threads");

@@ -9,7 +9,6 @@
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/expect.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ibvs::cloud {
 
@@ -326,10 +325,7 @@ void MigrationPlanner::annotate(std::vector<PlannedMove>& moves) const {
   const auto& fabric = cloud_->fabric();
   const auto& sm = fabric.subnet_manager();
   const auto& hyps = fabric.hypervisors();
-  // Pure reads of the master tables and the congestion map, one move per
-  // index — results land by slot, so the pool size never changes the plan.
-  ThreadPool::global().parallel_for(0, moves.size(), [&](std::size_t i) {
-    PlannedMove& m = moves[i];
+  for (PlannedMove& m : moves) {
     std::vector<Lid> lids{fabric.vm(m.vm).lid};
     if (m.is_swap()) {
       m.update_set = cloud_->predict_swap_update_set(m.vm, m.swap_with,
@@ -364,7 +360,7 @@ void MigrationPlanner::annotate(std::vector<PlannedMove>& moves) const {
         m.update_keys.size() + (m.is_swap() ? 4 : 3);
     m.hot_exposure = cloud_->uplink_congestion(m.src_hypervisor) +
                      cloud_->uplink_congestion(m.dst_hypervisor);
-  });
+  }
 }
 
 bool MigrationPlanner::conflict(const PlannedMove& a, const PlannedMove& b,
@@ -482,24 +478,19 @@ FleetExecution PlanExecutor::execute(const MigrationPlanner& planner,
       BatchExecution be;
 
       // Revalidate against live fabric state — chaos (or an earlier batch's
-      // rollback) may have destroyed a member or moved it elsewhere. Pure
-      // reads, fanned out on the pool; verdicts land by index.
-      std::vector<char> ok(batch.moves.size(), 0);
+      // rollback) may have destroyed a member or moved it elsewhere.
       std::unordered_set<std::uint32_t> active;
       for (const std::uint32_t id : fabric.active_vm_ids()) active.insert(id);
-      ThreadPool::global().parallel_for(
-          0, batch.moves.size(), [&](std::size_t i) {
-            const auto& m = batch.moves[i];
-            if (active.count(m.vm.id) == 0) return;
-            if (fabric.vm(m.vm).hypervisor != m.src_hypervisor) return;
-            if (m.is_swap()) {
-              if (active.count(m.swap_with.id) == 0) return;
-              if (fabric.vm(m.swap_with).hypervisor != m.dst_hypervisor) {
-                return;
-              }
-            }
-            ok[i] = 1;
-          });
+      const auto still_at = [&](core::VmHandle vm, std::size_t hypervisor) {
+        return active.count(vm.id) != 0 &&
+               fabric.vm(vm).hypervisor == hypervisor;
+      };
+      std::vector<char> ok(batch.moves.size(), 0);
+      for (std::size_t i = 0; i < batch.moves.size(); ++i) {
+        const auto& m = batch.moves[i];
+        ok[i] = still_at(m.vm, m.src_hypervisor) &&
+                (!m.is_swap() || still_at(m.swap_with, m.dst_hypervisor));
+      }
 
       // Members run serially in index order: conflict-freedom makes every
       // interleaving equivalent, and a fixed order keeps the SMP stream

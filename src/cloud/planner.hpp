@@ -142,8 +142,7 @@ class MigrationPlanner {
   MigrationPlanner(CloudOrchestrator& cloud, Options options);
 
   /// Plans from live fabric state. Deterministic: same state + goal ->
-  /// byte-identical plan at any thread count (per-move prediction runs on
-  /// ThreadPool::global, but every result lands by move index).
+  /// byte-identical plan.
   [[nodiscard]] MigrationPlan plan(const FleetGoal& goal) const;
 
   /// The batch-membership predicate: true when the two moves must NOT run
@@ -249,10 +248,9 @@ class PlanExecutor {
   explicit PlanExecutor(CloudOrchestrator& cloud);
 
   /// Runs the plan batch by batch. Members are revalidated against live
-  /// fabric state in parallel (ThreadPool::global), then their
-  /// transactions execute in index order — conflict-freedom makes any
-  /// interleaving equivalent, and index order keeps the SMP stream
-  /// byte-identical at every thread count. One member's rollback never
+  /// fabric state, then their transactions execute in index order —
+  /// conflict-freedom makes any interleaving equivalent, and index order
+  /// keeps the SMP stream deterministic. One member's rollback never
   /// aborts its batch; a pass that left rollbacks/failures behind
   /// re-plans via `planner` up to policy.max_replans times.
   FleetExecution execute(const MigrationPlanner& planner,

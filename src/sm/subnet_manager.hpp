@@ -99,8 +99,8 @@ class SubnetManager {
   /// Sends every master LFT block that differs from the installed one.
   /// Switches with no path from the SM are skipped (like reconverge():
   /// they cannot be programmed, so their blocks are neither counted as
-  /// sent nor as skipped). Block diffing runs on the global thread pool;
-  /// the SMP send order is that of a single-threaded sweep.
+  /// sent nor as skipped). Switches are diffed and sent in index order, one
+  /// at a time: the word-at-a-time diff costs less than a pool hand-off.
   DistributionReport distribute_lfts(
       SmpRouting routing = SmpRouting::kDirected);
 
@@ -198,21 +198,18 @@ class SubnetManager {
   void clear_degraded_ports() noexcept { degraded_ports_.clear(); }
 
  private:
-  /// Parallel diff phase shared by distribute_lfts() and reconverge():
-  /// fills `reachable[s]` (can the SM currently program switch `s`?) and
-  /// `to_send[s]` (master block indices whose installed copy differs) for
-  /// every switch of the routing graph. Block scans run on the global
-  /// thread pool; callers keep their send loops serial and index-ordered so
-  /// the SMP stream is byte-identical to a single-threaded sweep.
-  void collect_lft_diffs(std::vector<std::uint8_t>& reachable,
-                         std::vector<std::vector<std::uint32_t>>& to_send);
+  /// One diff-and-send round, shared by distribute_lfts() and
+  /// redistribute(): in switch-index order, skips switches the SM cannot
+  /// reach, resolves cold resyncs, and sends each reachable switch's
+  /// differing master blocks (all of them when cold) in one SMP batch.
+  DistributionReport distribution_round(SmpRouting routing);
 
   Fabric& fabric_;
   LidMap lids_;
   fabric::SmpTransport transport_;
   std::unique_ptr<routing::RoutingEngine> engine_;
   routing::RoutingResult routing_;
-  /// Switches seen unreachable by collect_lft_diffs(). On a real fabric a
+  /// Switches seen unreachable by distribution_round(). On a real fabric a
   /// switch returning from a power event holds an LFT the SM cannot trust
   /// (the simulation preserves installed tables, real hardware does not),
   /// so the first diff pass that finds one of these reachable again resends

@@ -49,111 +49,52 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for_chunks(
-    std::size_t begin, std::size_t end,
+void ThreadPool::parallel_ranges(
+    std::size_t begin, std::size_t end, std::size_t min_range,
     const std::function<void(std::size_t, std::size_t)>& body) {
   if (begin >= end) return;
   const std::size_t total = end - begin;
-  const std::size_t chunks = std::min(total, size() * 4);
-  if (chunks <= 1) {
+  // A single worker gains nothing from a hand-off: everything runs inline.
+  const std::size_t max_ranges = size() > 1 ? size() * kRangesPerWorker : 1;
+  const std::size_t ranges = std::clamp<std::size_t>(
+      total / std::max<std::size_t>(min_range, 1), 1, max_ranges);
+  if (ranges == 1) {
     body(begin, end);
     return;
   }
-  const std::size_t chunk_size = (total + chunks - 1) / chunks;
+  // Balanced split: the first `total % ranges` ranges get one extra item,
+  // so range sizes differ by at most one.
+  const std::size_t base = total / ranges;
+  const std::size_t extra = total % ranges;
 
   std::mutex done_mutex;
   std::condition_variable done_cv;
-  std::size_t pending = 0;
-  std::exception_ptr first_error;
-
-  for (std::size_t chunk_begin = begin; chunk_begin < end;
-       chunk_begin += chunk_size) {
-    const std::size_t chunk_end = std::min(end, chunk_begin + chunk_size);
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
-    }
-    submit([&, chunk_begin, chunk_end] {
-      try {
-        body(chunk_begin, chunk_end);
-      } catch (...) {
-        std::lock_guard<std::mutex> lock(done_mutex);
-        if (!first_error) first_error = std::current_exception();
-      }
-      {
-        // Notify under the lock: the waiter owns done_cv on its stack, so
-        // it must not be able to wake, see pending == 0, and destroy the
-        // cv while this thread is still inside notify_one.
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --pending;
-        done_cv.notify_one();
-      }
-    });
-  }
-
-  std::unique_lock<std::mutex> lock(done_mutex);
-  done_cv.wait(lock, [&] { return pending == 0; });
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for_shards(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& body) {
-  if (begin >= end) return;
-  const std::size_t total = end - begin;
-  const std::size_t shards = shard_count(total);
-  if (shards <= 1) {
-    body(0, begin, end);
-    return;
-  }
-  // Balanced split: the first `total % shards` shards get one extra item,
-  // so shard sizes differ by at most one.
-  const std::size_t base = total / shards;
-  const std::size_t extra = total % shards;
-
-  std::mutex done_mutex;
-  std::condition_variable done_cv;
-  std::size_t pending = 0;
+  std::size_t pending = ranges;
   std::exception_ptr first_error;
 
   std::size_t at = begin;
-  for (std::size_t shard = 0; shard < shards; ++shard) {
-    const std::size_t shard_begin = at;
-    const std::size_t shard_end = shard_begin + base + (shard < extra ? 1 : 0);
-    at = shard_end;
-    {
-      std::lock_guard<std::mutex> lock(done_mutex);
-      ++pending;
-    }
-    submit([&, shard, shard_begin, shard_end] {
+  for (std::size_t r = 0; r < ranges; ++r) {
+    const std::size_t range_begin = at;
+    at += base + (r < extra ? 1 : 0);
+    submit([&, range_begin, range_end = at] {
       try {
-        body(shard, shard_begin, shard_end);
+        body(range_begin, range_end);
       } catch (...) {
         std::lock_guard<std::mutex> lock(done_mutex);
         if (!first_error) first_error = std::current_exception();
       }
-      {
-        // Notify under the lock (see parallel_for_chunks).
-        std::lock_guard<std::mutex> lock(done_mutex);
-        --pending;
-        done_cv.notify_one();
-      }
+      // Notify under the lock: the waiter owns done_cv on its stack, so it
+      // must not be able to wake, see pending == 0, and destroy the cv
+      // while this thread is still inside notify_one.
+      std::lock_guard<std::mutex> lock(done_mutex);
+      --pending;
+      done_cv.notify_one();
     });
   }
 
   std::unique_lock<std::mutex> lock(done_mutex);
   done_cv.wait(lock, [&] { return pending == 0; });
   if (first_error) std::rethrow_exception(first_error);
-}
-
-void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
-                              const std::function<void(std::size_t)>& body) {
-  parallel_for_chunks(begin, end,
-                      [&](std::size_t chunk_begin, std::size_t chunk_end) {
-                        for (std::size_t i = chunk_begin; i < chunk_end; ++i) {
-                          body(i);
-                        }
-                      });
 }
 
 namespace {

@@ -1,6 +1,7 @@
 // Shared fixtures for the ibvswitch test suite.
 #pragma once
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -21,14 +22,19 @@ struct PhysicalSubnet {
   std::vector<NodeId> hosts;
   std::unique_ptr<sm::SubnetManager> sm;
 
+  /// 4 leaves x 2 spines, `hosts_per_leaf` hosts under each leaf (host i
+  /// sits under leaf i / hosts_per_leaf).
   static PhysicalSubnet small_fat_tree(
-      routing::EngineKind engine = routing::EngineKind::kMinHop) {
+      routing::EngineKind engine = routing::EngineKind::kMinHop,
+      std::size_t hosts_per_leaf = 3) {
     PhysicalSubnet s;
     s.built = topology::build_two_level_fat_tree(
-        s.fabric, topology::TwoLevelParams{.num_leaves = 4,
-                                           .num_spines = 2,
-                                           .hosts_per_leaf = 3,
-                                           .radix = 8});
+        s.fabric,
+        topology::TwoLevelParams{.num_leaves = 4,
+                                 .num_spines = 2,
+                                 .hosts_per_leaf = hosts_per_leaf,
+                                 .radix = std::max<std::size_t>(
+                                     8, hosts_per_leaf + 2)});
     s.hosts = topology::attach_hosts(s.fabric, s.built.host_slots);
     s.fabric.validate();
     s.sm = std::make_unique<sm::SubnetManager>(

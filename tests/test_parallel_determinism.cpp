@@ -1,11 +1,12 @@
-// Determinism contract of the parallel sweep fast path.
+// Determinism contract of the thread pool's fan-outs.
 //
-// The diff/extraction phases of LFT distribution, DFSSSP deadlock removal,
-// and the fabric checker run on the global thread pool — but the observable
-// outputs must be byte-identical to a single-threaded run: the SMP stream
-// (order included), the computed tables, the per-destination VLs, the
-// checker report, and the chaos digest. These tests pin that contract by
-// running the same scenario at 1 and 4 threads and comparing everything.
+// The routing engines and the fabric checker fan out on the global thread
+// pool above their work-size cutoffs — but the observable outputs must be
+// byte-identical to a single-threaded run: the SMP stream (order included),
+// the computed tables, the per-destination VLs, the checker report, and the
+// chaos digest. These tests pin that contract by running the same scenario
+// at several pool sizes, on fabrics large enough to cross the cutoffs, and
+// comparing everything.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,6 +38,27 @@ struct ThreadGuard {
   ~ThreadGuard() { ThreadPool::set_global_threads(0); }
 };
 
+/// Switch and target counts at which every routing fan-out splits into at
+/// least two ranges: twice the largest per-range minimum of the hop matrix
+/// and the Min-Hop, fat-tree and Up*/Down* engines (fat_tree_routing.cpp:
+/// 16 switches and 256 targets per range). The routing fabric below stays
+/// above both; on a smaller one every pool size would run the same inline
+/// pass.
+constexpr std::size_t kRoutingFanOutSwitches = 2 * 16;
+constexpr std::size_t kRoutingFanOutTargets = 2 * 256;
+/// Switch count at which Min-Hop and the hop matrix split (min_hop.cpp and
+/// graph.cpp: 8 switches per range).
+constexpr std::size_t kMinHopFanOutSwitches = 2 * 8;
+
+/// The 648-node paper tree: 54 switches and 702 target LIDs.
+PhysicalSubnet routing_fabric(routing::EngineKind engine) {
+  auto s = PhysicalSubnet::paper_tree(topology::PaperFatTree::k648, engine);
+  EXPECT_GE(s.fabric.switch_ids().size(), kRoutingFanOutSwitches);
+  EXPECT_GE(s.hosts.size() + s.fabric.switch_ids().size(),
+            kRoutingFanOutTargets);
+  return s;
+}
+
 /// Full sweep with every SMP recorded.
 std::vector<Smp> sweep_stream(PhysicalSubnet& s) {
   std::vector<Smp> stream;
@@ -51,7 +73,7 @@ TEST(ParallelDeterminism, SweepSmpStreamMatchesSingleThreaded) {
   std::vector<std::vector<Lft>> lfts;
   for (const std::size_t threads : kThreadSweep) {
     ThreadGuard guard(threads);
-    auto s = PhysicalSubnet::small_fat_tree();
+    auto s = routing_fabric(routing::EngineKind::kMinHop);
     streams.push_back(sweep_stream(s));
     lfts.emplace_back();
     for (const NodeId sw : s.fabric.switch_ids()) {
@@ -84,50 +106,50 @@ TEST(ParallelDeterminism, ReconvergeStreamMatchesSingleThreaded) {
   EXPECT_EQ(streams[0], streams[1]);
 }
 
-TEST(ParallelDeterminism, DfssspTablesAndVlsMatchSingleThreaded) {
-  routing::RoutingResult results[2];
-  for (int run = 0; run < 2; ++run) {
-    ThreadGuard guard(run == 0 ? 1 : 4);
-    auto s = PhysicalSubnet::small_fat_tree(routing::EngineKind::kDfsssp);
-    s.sm->discover();
-    s.sm->assign_lids();
-    results[run] = s.sm->engine().compute(s.fabric, s.sm->lids());
-  }
-  EXPECT_EQ(results[0].lfts, results[1].lfts);
-  EXPECT_EQ(results[0].dest_vl, results[1].dest_vl);
-  EXPECT_EQ(results[0].num_vls, results[1].num_vls);
-}
-
-TEST(ParallelDeterminism, CheckerReportMatchesSingleThreaded) {
-  std::vector<inject::CheckReport> reports;
+/// Tables, VLs and layer count one engine computes at each pool size.
+void expect_routing_matches_single_threaded(routing::EngineKind engine) {
+  std::vector<routing::RoutingResult> results;
   for (const std::size_t threads : kThreadSweep) {
     ThreadGuard guard(threads);
-    auto s = PhysicalSubnet::small_fat_tree();
-    s.sm->full_sweep();
-    // Break forwarding on purpose so the report carries violations whose
-    // order (and truncation point) must not depend on the thread count.
-    const NodeId leaf = s.built.leaves.front();
-    s.fabric.node(leaf).lft.clear();
-    const inject::FabricChecker checker(
-        *s.sm, inject::CheckerConfig{.max_violations = 5, .max_sources = 4});
-    reports.push_back(checker.check());
+    auto s = routing_fabric(engine);
+    s.sm->discover();
+    s.sm->assign_lids();
+    results.push_back(s.sm->engine().compute(s.fabric, s.sm->lids()));
   }
-  EXPECT_FALSE(reports[0].clean());
-  for (std::size_t run = 1; run < reports.size(); ++run) {
-    EXPECT_EQ(reports[0].violations, reports[run].violations)
-        << kThreadSweep[run] << " threads";
-    EXPECT_EQ(reports[0].truncated, reports[run].truncated);
-    EXPECT_EQ(reports[0].paths_traced, reports[run].paths_traced);
-    EXPECT_EQ(reports[0].sources_sampled, reports[run].sources_sampled);
+  for (std::size_t run = 1; run < results.size(); ++run) {
+    EXPECT_EQ(results[0].lfts, results[run].lfts)
+        << routing::to_string(engine) << ", " << kThreadSweep[run]
+        << " threads";
+    EXPECT_EQ(results[0].dest_vl, results[run].dest_vl);
+    EXPECT_EQ(results[0].num_vls, results[run].num_vls);
   }
+}
+
+TEST(ParallelDeterminism, DfssspTablesAndVlsMatchSingleThreaded) {
+  // DFSSSP runs serially (its fan-out saved nothing); this pins that the
+  // pool size still leaks into neither its tables nor its VLs.
+  expect_routing_matches_single_threaded(routing::EngineKind::kDfsssp);
+}
+
+TEST(ParallelDeterminism, FatTreeAndUpDownTablesMatchSingleThreaded) {
+  expect_routing_matches_single_threaded(routing::EngineKind::kFatTree);
+  expect_routing_matches_single_threaded(routing::EngineKind::kUpDown);
 }
 
 TEST(ParallelDeterminism, ChaosDigestMatchesSingleThreaded) {
+  // A 16-switch ring under Min-Hop (two ranges for the engine and the hop
+  // matrix) with 31 hypervisors of 24 VFs: enough LIDs for the checker
+  // every chaos step runs to shard as well.
   std::vector<std::uint64_t> digests;
   for (const std::size_t threads : kThreadSweep) {
     ThreadGuard guard(threads);
-    auto s = VirtualSubnet::small(core::LidScheme::kPrepopulated);
+    auto s = VirtualSubnet::ring(core::LidScheme::kPrepopulated,
+                                 /*switches=*/16, /*num_hyps=*/31,
+                                 /*vfs=*/24, routing::EngineKind::kMinHop);
     s.vsf->boot();
+    EXPECT_GE(s.fabric.switch_ids().size(), kMinHopFanOutSwitches);
+    EXPECT_GE(s.sm->lids().assigned_lids().size(),
+              2 * inject::FabricChecker::kMinTargetsPerShard);
     const auto report = inject::run_chaos(*s.vsf, /*seed=*/42, /*steps=*/24);
     digests.push_back(report.digest);
     EXPECT_TRUE(report.all_converged);
@@ -191,10 +213,39 @@ struct SerialExpectation {
   std::size_t sources_sampled = 0;
 };
 
+/// The checker's reachability targets: every LID with a physical attachment
+/// whose owner still has a cabled port.
+std::vector<Lid> checker_targets(const sm::SubnetManager& sm) {
+  const Fabric& fabric = sm.fabric();
+  const LidMap& lids = sm.lids();
+  const auto any_port_connected = [](const Node& n) {
+    for (PortNum p = 1; p <= n.num_ports(); ++p) {
+      if (n.ports[p].connected()) return true;
+    }
+    return false;
+  };
+  std::vector<Lid> targets;
+  for (const Lid lid : lids.assigned_lids()) {
+    if (!lids.attachment(fabric, lid)) continue;
+    const LidMap::Owner owner = lids.owner(lid);
+    if (owner.valid() && owner.node < fabric.size() &&
+        !any_port_connected(fabric.node(owner.node))) {
+      continue;
+    }
+    targets.push_back(lid);
+  }
+  return targets;
+}
+
+/// Smallest target count at which the checker splits its reachability pass
+/// into two shards. The checker fabrics below stay above it; on a smaller
+/// fabric every pool size would run the same inline pass.
+constexpr std::size_t kShardedTargets =
+    2 * inject::FabricChecker::kMinTargetsPerShard;
+
 SerialExpectation serial_reference(const sm::SubnetManager& sm,
                                    const inject::CheckerConfig& config) {
   const Fabric& fabric = sm.fabric();
-  const LidMap& lids = sm.lids();
 
   std::vector<NodeId> sources;
   for (NodeId id = 0; id < fabric.size(); ++id) {
@@ -214,22 +265,7 @@ SerialExpectation serial_reference(const sm::SubnetManager& sm,
     sources = std::move(sampled);
   }
 
-  const auto any_port_connected = [](const Node& n) {
-    for (PortNum p = 1; p <= n.num_ports(); ++p) {
-      if (n.ports[p].connected()) return true;
-    }
-    return false;
-  };
-  std::vector<Lid> targets;
-  for (const Lid lid : lids.assigned_lids()) {
-    if (!lids.attachment(fabric, lid)) continue;
-    const LidMap::Owner owner = lids.owner(lid);
-    if (owner.valid() && owner.node < fabric.size() &&
-        !any_port_connected(fabric.node(owner.node))) {
-      continue;
-    }
-    targets.push_back(lid);
-  }
+  const std::vector<Lid> targets = checker_targets(sm);
 
   SerialExpectation out;
   out.sources_sampled = sources.size();
@@ -291,10 +327,21 @@ void expect_matches_serial(const sm::SubnetManager& sm) {
   }
 }
 
+/// Hosts per leaf (physical) and VFs per hypervisor (virtual) of the
+/// checker fabrics: enough LIDs for the reachability pass to shard.
+constexpr std::size_t kCheckerHostsPerLeaf = 200;
+constexpr std::size_t kCheckerVfs = 72;
+
 TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenPhysicalFabric) {
-  auto s = PhysicalSubnet::small_fat_tree();
+  auto s = PhysicalSubnet::small_fat_tree(routing::EngineKind::kMinHop,
+                                          kCheckerHostsPerLeaf);
   s.sm->full_sweep();
+  ASSERT_GE(checker_targets(*s.sm).size(), kShardedTargets);
   const Fabric& fabric = s.fabric;
+  // Host k under leaf l.
+  const auto host = [&](std::size_t l, std::size_t k) {
+    return s.hosts[l * kCheckerHostsPerLeaf + k];
+  };
   const NodeId leaf0 = s.built.leaves[0];
   const NodeId leaf2 = s.built.leaves[2];
   const NodeId spine0 = s.built.spines[0];
@@ -304,25 +351,25 @@ TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenPhysicalFabric) {
   // attachment switches so the LidMap pass stays clean and the report is
   // purely reachability findings.
   // kLoop: ping-pong a remote host LID between leaf0 and spine0.
-  const Lid loop_lid = fabric.node(s.hosts[4]).lid();
+  const Lid loop_lid = fabric.node(host(1, 1)).lid();
   s.fabric.node(leaf0).lft.set(loop_lid, port_towards(fabric, leaf0, spine0));
   s.fabric.node(spine0).lft.set(loop_lid,
                                 port_towards(fabric, spine0, leaf0));
   // kDropped + kNoRoute: spine1 drops one host LID outright and forwards
   // another into an uncabled port.
-  const Lid drop_lid = fabric.node(s.hosts[7]).lid();
+  const Lid drop_lid = fabric.node(host(2, 1)).lid();
   s.fabric.node(spine1).lft.set(drop_lid, kDropPort);
-  const Lid dangle_lid = fabric.node(s.hosts[10]).lid();
+  const Lid dangle_lid = fabric.node(host(3, 1)).lid();
   s.fabric.node(spine1).lft.set(dangle_lid,
                                 fabric.node(spine1).num_ports());
   // kWrongDelivery: divert a leaf0-attached LID to a host under leaf2.
-  const Lid divert_lid = fabric.node(s.hosts[1]).lid();
+  const Lid divert_lid = fabric.node(host(0, 1)).lid();
   s.fabric.node(spine0).lft.set(divert_lid,
                                 port_towards(fabric, spine0, leaf2));
   s.fabric.node(spine1).lft.set(divert_lid,
                                 port_towards(fabric, spine1, leaf2));
   s.fabric.node(leaf2).lft.set(divert_lid,
-                               port_towards(fabric, leaf2, s.hosts[8]));
+                               port_towards(fabric, leaf2, host(2, 2)));
 
   expect_matches_serial(*s.sm);
 }
@@ -331,8 +378,10 @@ TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenVirtualFabric) {
   // Same oracle over a virtualized subnet: walks now transit vSwitches
   // (inline-hop fast path) and VF LIDs join both the source and target
   // sets. Wipe one spine and loop one VF LID between the spines.
-  auto s = VirtualSubnet::small(core::LidScheme::kPrepopulated);
+  auto s = VirtualSubnet::small(core::LidScheme::kPrepopulated,
+                                /*num_hyps=*/11, kCheckerVfs);
   s.vsf->boot();
+  ASSERT_GE(checker_targets(*s.sm).size(), kShardedTargets);
   const Fabric& fabric = s.fabric;
   const NodeId spine0 = s.built.spines[0];
   const NodeId spine1 = s.built.spines[1];
@@ -349,6 +398,32 @@ TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenVirtualFabric) {
   s.fabric.node(spine1).lft.clear();
 
   expect_matches_serial(*s.sm);
+}
+
+TEST(ParallelDeterminism, CheckerReportMatchesSingleThreaded) {
+  std::vector<inject::CheckReport> reports;
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadGuard guard(threads);
+    auto s = PhysicalSubnet::small_fat_tree(routing::EngineKind::kMinHop,
+                                            kCheckerHostsPerLeaf);
+    s.sm->full_sweep();
+    ASSERT_GE(checker_targets(*s.sm).size(), kShardedTargets);
+    // Break forwarding on purpose so the report carries violations whose
+    // order (and truncation point) must not depend on the thread count.
+    const NodeId leaf = s.built.leaves.front();
+    s.fabric.node(leaf).lft.clear();
+    const inject::FabricChecker checker(
+        *s.sm, inject::CheckerConfig{.max_violations = 5, .max_sources = 4});
+    reports.push_back(checker.check());
+  }
+  EXPECT_FALSE(reports[0].clean());
+  for (std::size_t run = 1; run < reports.size(); ++run) {
+    EXPECT_EQ(reports[0].violations, reports[run].violations)
+        << kThreadSweep[run] << " threads";
+    EXPECT_EQ(reports[0].truncated, reports[run].truncated);
+    EXPECT_EQ(reports[0].paths_traced, reports[run].paths_traced);
+    EXPECT_EQ(reports[0].sources_sampled, reports[run].sources_sampled);
+  }
 }
 
 // Regression: distribute_lfts() used to push blocks at switches the SM has

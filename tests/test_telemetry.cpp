@@ -107,10 +107,12 @@ TEST(Registry, ConcurrentIncrementsFromThreadPool) {
   Histogram& h = registry.histogram("obs");
   ThreadPool pool(4);
   constexpr std::size_t kIters = 10000;
-  pool.parallel_for(0, kIters, [&](std::size_t i) {
-    c.inc();
-    g.add(1.0);
-    h.observe(static_cast<double>(i % 7) * 1e-3);
+  pool.parallel_ranges(0, kIters, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      c.inc();
+      g.add(1.0);
+      h.observe(static_cast<double>(i % 7) * 1e-3);
+    }
   });
   EXPECT_EQ(c.value(), kIters);
   EXPECT_DOUBLE_EQ(g.value(), static_cast<double>(kIters));
@@ -120,8 +122,10 @@ TEST(Registry, ConcurrentIncrementsFromThreadPool) {
 TEST(Registry, ConcurrentFamilyLookupIsSafe) {
   Registry registry;
   ThreadPool pool(4);
-  pool.parallel_for(0, 1000, [&](std::size_t i) {
-    registry.counter("fam", {{"k", std::to_string(i % 16)}}).inc();
+  pool.parallel_ranges(0, 1000, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      registry.counter("fam", {{"k", std::to_string(i % 16)}}).inc();
+    }
   });
   EXPECT_EQ(registry.counter_family_total("fam"), 1000u);
 }
@@ -397,8 +401,10 @@ TEST(Tracer, FlushToFileRefusesWhenEmpty) {
 TEST(Tracer, SpansFromPoolThreadsGetDistinctThreadIds) {
   Tracer tracer;
   ThreadPool pool(4);
-  pool.parallel_for(0, 64, [&](std::size_t) {
-    auto span = tracer.span("worker-op");
+  pool.parallel_ranges(0, 64, 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) {
+      auto span = tracer.span("worker-op");
+    }
   });
   const auto spans = tracer.finished();
   ASSERT_EQ(spans.size(), 64u);

@@ -19,6 +19,12 @@ struct PaperShape {
   std::size_t switches;
 };
 
+/// Prints the counts, not gtest's byte dump, whose padding bytes are
+/// uninitialised and would make the listed test names vary between runs.
+void PrintTo(const PaperShape& shape, std::ostream* os) {
+  *os << shape.nodes << " nodes, " << shape.switches << " switches";
+}
+
 class PaperTreeTest : public ::testing::TestWithParam<PaperShape> {};
 
 TEST_P(PaperTreeTest, MatchesTableI) {

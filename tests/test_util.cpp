@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <numeric>
 #include <set>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "util/expect.hpp"
@@ -75,45 +79,81 @@ TEST(SplitMix64, ForkIsIndependentStream) {
   EXPECT_LT(same, 2);
 }
 
-TEST(ThreadPool, ParallelForCoversRange) {
+/// Every range one parallel_ranges() call ran, sorted by begin.
+std::vector<std::pair<std::size_t, std::size_t>> ranges_of(
+    ThreadPool& pool, std::size_t begin, std::size_t end,
+    std::size_t min_range) {
+  std::mutex m;
+  std::vector<std::pair<std::size_t, std::size_t>> ranges;
+  pool.parallel_ranges(begin, end, min_range,
+                       [&](std::size_t b, std::size_t e) {
+                         std::lock_guard<std::mutex> lock(m);
+                         ranges.emplace_back(b, e);
+                       });
+  std::sort(ranges.begin(), ranges.end());
+  return ranges;
+}
+
+TEST(ThreadPool, RunsInlineBelowCutoff) {
   ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // 30 items at a 16-item minimum leave one range: it runs on the caller.
+  std::size_t calls = 0;
+  std::thread::id ran_on;
+  pool.parallel_ranges(0, 30, 16, [&](std::size_t b, std::size_t e) {
+    ++calls;
+    ran_on = std::this_thread::get_id();
+    EXPECT_EQ(b, 0u);
+    EXPECT_EQ(e, 30u);
+  });
+  EXPECT_EQ(calls, 1u);
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  // A single worker never splits.
+  ThreadPool single(1);
+  EXPECT_EQ(ranges_of(single, 0, 100, 1).size(), 1u);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
+  EXPECT_TRUE(ranges_of(pool, 5, 5, 1).empty());
+}
+
+TEST(ThreadPool, ParallelForCoversRange) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(1000);
+  pool.parallel_ranges(0, hits.size(), 1, [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ChunksPartitionRange) {
   ThreadPool pool(3);
-  std::mutex m;
-  std::vector<std::pair<std::size_t, std::size_t>> chunks;
-  pool.parallel_for_chunks(0, 103, [&](std::size_t b, std::size_t e) {
-    std::lock_guard<std::mutex> lock(m);
-    chunks.emplace_back(b, e);
-  });
-  std::sort(chunks.begin(), chunks.end());
-  std::size_t expect_begin = 0;
-  for (const auto& [b, e] : chunks) {
-    EXPECT_EQ(b, expect_begin);
-    EXPECT_GT(e, b);
-    expect_begin = e;
+  const std::size_t max_ranges = pool.size() * ThreadPool::kRangesPerWorker;
+  for (const std::size_t min_range : {1u, 7u, 40u}) {
+    const auto ranges = ranges_of(pool, 10, 113, min_range);
+    EXPECT_GE(ranges.size(), 2u) << "min_range " << min_range;
+    EXPECT_LE(ranges.size(), max_ranges) << "min_range " << min_range;
+    // Contiguous, disjoint, non-empty and at least min_range long, covering
+    // exactly [10, 113).
+    std::size_t expect_begin = 10;
+    for (const auto& [b, e] : ranges) {
+      EXPECT_EQ(b, expect_begin);
+      EXPECT_GE(e - b, min_range);
+      expect_begin = e;
+    }
+    EXPECT_EQ(expect_begin, 113u);
   }
-  EXPECT_EQ(expect_begin, 103u);
 }
 
 TEST(ThreadPool, ExceptionPropagates) {
   ThreadPool pool(4);
-  EXPECT_THROW(pool.parallel_for(0, 100,
-                                 [&](std::size_t i) {
-                                   if (i == 37) throw std::runtime_error("x");
-                                 }),
+  const auto throw_at_37 = [](std::size_t b, std::size_t e) {
+    if (b <= 37 && 37 < e) throw std::runtime_error("x");
+  };
+  // From a worker's range, and from the inline path.
+  EXPECT_THROW(pool.parallel_ranges(0, 100, 1, throw_at_37),
+               std::runtime_error);
+  EXPECT_THROW(pool.parallel_ranges(0, 100, 100, throw_at_37),
                std::runtime_error);
 }
 
@@ -149,8 +189,12 @@ TEST(ThreadPool, SetGlobalThreadsResizes) {
   EXPECT_EQ(ThreadPool::global().size(), 3u);
   // The resized pool still does work.
   std::atomic<int> sum{0};
-  ThreadPool::global().parallel_for(0, 100,
-                                    [&](std::size_t i) { sum += int(i); });
+  ThreadPool::global().parallel_ranges(0, 100, 1,
+                                       [&](std::size_t b, std::size_t e) {
+                                         for (std::size_t i = b; i < e; ++i) {
+                                           sum += int(i);
+                                         }
+                                       });
   EXPECT_EQ(sum.load(), 4950);
   // 0 restores the default sizing chain.
   ThreadPool::set_global_threads(0);
