@@ -564,8 +564,7 @@ FleetExecution PlanExecutor::execute(const MigrationPlanner& planner,
 
 DrainDetachReport drain_and_detach(
     CloudOrchestrator& cloud, NodeId leaf,
-    const core::MigrationOptions& options, const ExecutorPolicy& policy,
-    const sm::TopologyApplyOptions& detach_options) {
+    const core::MigrationOptions& options, const ExecutorPolicy& policy) {
   core::VSwitchFabric& vsf = cloud.fabric();
   const auto& hyps = vsf.hypervisors();
 
@@ -601,9 +600,7 @@ DrainDetachReport drain_and_detach(
             " VM(s) resident under the leaf; detach refused");
   }
   sm::TopologyTxnManager topo(vsf.subnet_manager(), vsf.journal());
-  report.detach =
-      topo.detach_switch(leaf, /*allow_orphan_endpoints=*/true,
-                         detach_options);
+  report.detach = topo.detach_switch(leaf, /*allow_orphan_endpoints=*/true);
   return report;
 }
 

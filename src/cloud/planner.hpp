@@ -240,8 +240,7 @@ struct DrainDetachReport {
 DrainDetachReport drain_and_detach(
     CloudOrchestrator& cloud, NodeId leaf,
     const core::MigrationOptions& options = {},
-    const ExecutorPolicy& policy = {},
-    const sm::TopologyApplyOptions& detach_options = {});
+    const ExecutorPolicy& policy = {});
 
 class PlanExecutor {
  public:

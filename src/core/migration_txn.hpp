@@ -61,7 +61,6 @@ struct MigrationTxn {
   VmHandle peer_vm;
   Guid peer_vguid;
   MigrationOptions options;
-  bool addresses_moved = false;
   bool intra_leaf = false;
   std::size_t minimal_set_size = 0;
   ReconfigStats stats;

@@ -1,8 +1,10 @@
 #include "core/vswitch.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "core/migration_txn.hpp"
+#include "sm/delta_txn.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/expect.hpp"
@@ -46,6 +48,45 @@ struct VSwitchMetrics {
     return m;
   }
 };
+
+/// Maps an early stop of the apply loop to the migration's typed error.
+void throw_if_stopped(const Fabric& fabric, const sm::ApplyResult& result,
+                      std::string_view phase) {
+  if (result.stop == sm::ApplyStop::kUnreachable) {
+    throw MigrationError(MigrationErrc::kSwitchUnreachable,
+                         fabric.node(result.at).name + " unreachable " +
+                             std::string(phase));
+  }
+  if (result.stop == sm::ApplyStop::kAborted) {
+    throw MigrationError(MigrationErrc::kInterrupted,
+                         "reconfiguration batch cut short " +
+                             std::string(phase));
+  }
+}
+
+/// The one-shot composition behind migrate_vm and swap_vms, with an undo:
+/// any mid-flight failure restores the source placement before surfacing
+/// to the caller.
+MigrationReport run_to_commit(VSwitchFabric& vsf, MigrationTxn& txn) {
+  try {
+    vsf.txn_move_addresses(txn);
+    vsf.txn_apply_lfts(txn);
+  } catch (...) {
+    vsf.txn_rollback(txn);
+    throw;
+  }
+  vsf.txn_commit(txn);
+  MigrationReport report;
+  report.vm = txn.vm.id;
+  report.src_hypervisor = txn.src_hypervisor;
+  report.dst_hypervisor = txn.dst_hypervisor;
+  report.vm_lid = txn.vm_lid;
+  report.swapped_lid = txn.swapped_lid;
+  report.intra_leaf = txn.intra_leaf;
+  report.reconfig = txn.stats;
+  report.minimal_set_size = txn.minimal_set_size;
+  return report;
+}
 
 }  // namespace
 
@@ -291,24 +332,7 @@ MigrationTxn VSwitchFabric::begin_migration(VmHandle handle,
     IBVS_ENSURE(txn.swapped_lid.valid(), "destination VF lost its LID");
   }
 
-  // Open the write-ahead record: durable identities for the SM (a new
-  // master replays by NodeId/Lid), orchestrator tags for reconciliation.
-  sm::MigrationRecord record;
-  record.vm_id = vm.id;
-  record.vm_lid = vm.lid;
-  record.swapped_lid = txn.swapped_lid;
-  record.vguid = vm.vguid;
-  record.src_vf = src.vfs[vm.vf_index];
-  record.dst_vf = dst.vfs[*dst_vf_idx];
-  record.src_pf = src.pf;
-  record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(vm.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(*dst_vf_idx);
-  record.src_hypervisor = vm.hypervisor;
-  record.dst_hypervisor = dst_hypervisor;
-  record.src_vf_index = vm.vf_index;
-  record.dst_vf_index = *dst_vf_idx;
-  txn.id = journal_.begin(std::move(record));
+  txn.id = open_record(txn);
   return txn;
 }
 
@@ -352,109 +376,92 @@ MigrationTxn VSwitchFabric::begin_swap(VmHandle vm_a, VmHandle vm_b,
   txn.options = options;
   txn.intra_leaf = src.leaf == dst.leaf;
 
-  sm::MigrationRecord record;
-  record.vm_id = a.id;
-  record.vm_lid = a.lid;
-  record.swapped_lid = b.lid;
-  record.vguid = a.vguid;
-  record.swap_pair = true;
-  record.peer_vm_id = b.id;
-  record.peer_vguid = b.vguid;
-  record.src_vf = src.vfs[a.vf_index];
-  record.dst_vf = dst.vfs[b.vf_index];
-  record.src_pf = src.pf;
-  record.dst_pf = dst.pf;
-  record.src_vf_slot = static_cast<PortNum>(a.vf_index);
-  record.dst_vf_slot = static_cast<PortNum>(b.vf_index);
-  record.src_hypervisor = a.hypervisor;
-  record.dst_hypervisor = b.hypervisor;
-  record.src_vf_index = a.vf_index;
-  record.dst_vf_index = b.vf_index;
-  txn.id = journal_.begin(std::move(record));
+  txn.id = open_record(txn);
   return txn;
 }
 
-void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
-  IBVS_REQUIRE(!txn.terminal() && !txn.addresses_moved,
-               "addresses move at most once, before a terminal state");
-  Fabric& fabric = sm_->fabric();
-  auto& transport = sm_->transport();
+std::uint64_t VSwitchFabric::open_record(const MigrationTxn& txn) {
+  // The write-ahead record: durable identities for the SM (a new master
+  // replays by NodeId/Lid), orchestrator tags for reconciliation.
   const VirtualHca& src = hypervisors_[txn.src_hypervisor];
   const VirtualHca& dst = hypervisors_[txn.dst_hypervisor];
-  if (!fabric.physical_attachment(dst.pf)) {
+  return journal_.begin(sm::MigrationPayload{
+      .vm_id = txn.vm.id,
+      .vm_lid = txn.vm_lid,
+      .swapped_lid = txn.swapped_lid,
+      .vguid = txn.vguid,
+      .swap_pair = txn.is_swap,
+      .peer_vm_id = txn.peer_vm.id,
+      .peer_vguid = txn.peer_vguid,
+      .src_vf = src.vfs[txn.src_vf_index],
+      .dst_vf = dst.vfs[txn.dst_vf_index],
+      .src_pf = src.pf,
+      .dst_pf = dst.pf,
+      .src_vf_slot = static_cast<PortNum>(txn.src_vf_index),
+      .dst_vf_slot = static_cast<PortNum>(txn.dst_vf_index),
+      .src_hypervisor = txn.src_hypervisor,
+      .dst_hypervisor = txn.dst_hypervisor,
+      .src_vf_index = txn.src_vf_index,
+      .dst_vf_index = txn.dst_vf_index,
+  });
+}
+
+void VSwitchFabric::txn_move_addresses(MigrationTxn& txn) {
+  const sm::JournalRecord* record = journal_.find(txn.id);
+  IBVS_REQUIRE(!txn.terminal() && record != nullptr,
+               "addresses move before a terminal state");
+  IBVS_REQUIRE(!record->started, "addresses move at most once");
+  const sm::MigrationPayload& m = *record->migration();
+  Fabric& fabric = sm_->fabric();
+  auto& transport = sm_->transport();
+  if (!fabric.physical_attachment(m.dst_pf)) {
     // Nothing sent yet; the caller rolls the (empty) transaction back.
     throw MigrationError(MigrationErrc::kDestinationDetached,
                          "hypervisor " + std::to_string(txn.dst_hypervisor) +
                              " is physically detached");
   }
-  if (txn.is_swap && !fabric.physical_attachment(src.pf)) {
+  if (txn.is_swap && !fabric.physical_attachment(m.src_pf)) {
     // A swap programs *both* PFs; the source losing attachment is just as
     // fatal as the destination.
     throw MigrationError(MigrationErrc::kDestinationDetached,
                          "hypervisor " + std::to_string(txn.src_hypervisor) +
                              " is physically detached");
   }
-  const NodeId vf_src = src.vfs[txn.src_vf_index];
-  const NodeId vf_dst = dst.vfs[txn.dst_vf_index];
 
   // Write-ahead: the journal learns the addresses are moving before the
   // first SMP leaves the SM.
-  journal_.record_addresses_moved(txn.id);
+  journal_.record_started(txn.id);
 
   // ---- Step (a): migrate the IB addresses (§V-C a). One SMP per
-  // participating hypervisor for the LID, one per vGUID landing. ----
+  // participating hypervisor for the LID, one per vGUID landing. A swap
+  // keeps both VFs populated — each side takes the peer's LID and vGUID,
+  // which is why it needs no free VF anywhere. ----
+  const SmpRouting routing = txn.options.smp_routing;
+  transport.send_vf_lid_assign(m.src_pf, m.src_vf_slot,
+                               txn.is_swap ? txn.swapped_lid : kInvalidLid,
+                               routing);
+  transport.send_vf_lid_assign(m.dst_pf, m.dst_vf_slot, txn.vm_lid, routing);
+  transport.send_guid_info(m.dst_pf, m.dst_vf_slot, txn.vguid, routing);
+  txn.stats.hypervisor_lid_smps = 2;
+  txn.stats.guid_smps = 1;
   if (txn.is_swap) {
-    // Both VFs stay populated: each side takes the peer's LID and vGUID.
-    // This is why a swap needs no free VF anywhere.
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.swapped_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = txn.peer_vguid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.peer_vguid, txn.options.smp_routing);
+    transport.send_guid_info(m.src_pf, m.src_vf_slot, txn.peer_vguid, routing);
     txn.stats.guid_smps = 2;
-  } else {
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 kInvalidLid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(dst.pf,
-                                 static_cast<PortNum>(txn.dst_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    txn.stats.hypervisor_lid_smps = 2;
-    fabric.node(vf_src).alias_guid = kInvalidGuid;
-    fabric.node(vf_dst).alias_guid = txn.vguid;
-    transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    txn.stats.guid_smps = 1;
   }
-
-  if (txn.swapped_lid.valid()) {
-    // Swap the two LIDs' owners; the VM keeps vm_lid at the destination,
-    // the second LID (destination VF's or the peer VM's) moves to the
-    // vacated source VF.
-    sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
-    sm_->lids().move(fabric, txn.swapped_lid, vf_src, 1);
-  } else {
-    sm_->lids().move(fabric, txn.vm_lid, vf_dst, 1);
-  }
+  // The VM keeps vm_lid at the destination; the second LID (destination
+  // VF's or the peer VM's) moves to the vacated source VF.
+  sm::place_addresses(*sm_, m, /*at_destination=*/true);
   sm_->refresh_targets();
-  txn.addresses_moved = true;
   txn.state = TxnState::kReconfiguring;
 }
 
 void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
                                    const ApplyOptions& apply) {
-  IBVS_REQUIRE(txn.state == TxnState::kReconfiguring && txn.addresses_moved,
+  const sm::JournalRecord* record = journal_.find(txn.id);
+  IBVS_REQUIRE(txn.state == TxnState::kReconfiguring && record != nullptr &&
+                   record->started,
                "move the addresses before applying LFTs");
   Fabric& fabric = sm_->fabric();
-  auto& transport = sm_->transport();
   const Lid vm_lid = txn.vm_lid;
   const Lid swapped_lid = txn.swapped_lid;
 
@@ -558,34 +565,25 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
           {sw, swapped_lid, swap_delta.old_entry[s], swap_delta.new_entry[s]});
     }
   }
-  journal_.record_deltas(txn.id, std::move(planned));
+  journal_.record_deltas(txn.id, planned);
 
   // Optional drain pass (§VI-C): drop traffic for the VM LID on every
   // switch about to change, one SMP each, before the real update.
   if (txn.options.drain_first && !vm_set.empty()) {
     VSwitchMetrics::get().drain_passes.inc();
-    transport.begin_batch();
+    std::vector<sm::LftDelta> drain;
+    drain.reserve(vm_set.size());
     for (routing::SwitchIdx s : vm_set) {
-      if (apply.require_reachable &&
-          !transport.hops_to(routing.graph.switches[s])) {
-        txn.stats.drain_time_us += transport.end_batch();
-        throw MigrationError(MigrationErrc::kSwitchUnreachable,
-                             fabric.node(routing.graph.switches[s]).name +
-                                 " unreachable during the drain pass");
-      }
-      txn.applied.push_back({routing.graph.switches[s], vm_lid,
-                             routing.lfts[s].get(vm_lid), kDropPort});
-      sm_->update_master_entry(s, vm_lid, kDropPort);
-      txn.stats.drain_smps +=
-          sm_->push_dirty_blocks(s, txn.options.smp_routing);
-      if (txn.stats.drain_smps + txn.stats.lft_smps >=
-          apply.abort_after_smps) {
-        txn.stats.drain_time_us += transport.end_batch();
-        throw MigrationError(MigrationErrc::kInterrupted,
-                             "reconfiguration batch cut short mid-drain");
-      }
+      drain.push_back({routing.graph.switches[s], vm_lid,
+                       last_delta_.old_entry[s], kDropPort});
     }
-    txn.stats.drain_time_us += transport.end_batch();
+    const sm::ApplyResult drained = sm::apply_deltas(
+        *sm_, drain, txn.applied, txn.options.smp_routing,
+        apply.require_reachable, apply.abort_after_smps,
+        txn.stats.drain_smps + txn.stats.lft_smps);
+    txn.stats.drain_smps += drained.cost.smps;
+    txn.stats.drain_time_us += drained.cost.time_us;
+    throw_if_stopped(fabric, drained, "during the drain pass");
   }
 
   // The real update: 1 SMP per touched block — for a swap that is 1 when
@@ -593,35 +591,13 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
   // txn.applied captures the entry value actually in place immediately
   // before each write (kDropPort on drained switches), so rollback can
   // restore the exact prior bytes by replaying inverses in reverse.
-  transport.begin_batch();
-  for (routing::SwitchIdx s : update_set) {
-    if (apply.require_reachable &&
-        !transport.hops_to(routing.graph.switches[s])) {
-      txn.stats.lft_time_us += transport.end_batch();
-      throw MigrationError(MigrationErrc::kSwitchUnreachable,
-                           fabric.node(routing.graph.switches[s]).name +
-                               " unreachable during reconfiguration");
-    }
-    if (in_vm_set[s]) {
-      txn.applied.push_back({routing.graph.switches[s], vm_lid,
-                             routing.lfts[s].get(vm_lid),
-                             last_delta_.new_entry[s]});
-      sm_->update_master_entry(s, vm_lid, last_delta_.new_entry[s]);
-    }
-    if (in_vf_set[s]) {
-      txn.applied.push_back({routing.graph.switches[s], swapped_lid,
-                             routing.lfts[s].get(swapped_lid),
-                             swap_delta.new_entry[s]});
-      sm_->update_master_entry(s, swapped_lid, swap_delta.new_entry[s]);
-    }
-    txn.stats.lft_smps += sm_->push_dirty_blocks(s, txn.options.smp_routing);
-    if (txn.stats.drain_smps + txn.stats.lft_smps >= apply.abort_after_smps) {
-      txn.stats.lft_time_us += transport.end_batch();
-      throw MigrationError(MigrationErrc::kInterrupted,
-                           "reconfiguration batch cut short mid-update");
-    }
-  }
-  txn.stats.lft_time_us += transport.end_batch();
+  const sm::ApplyResult updated = sm::apply_deltas(
+      *sm_, planned, txn.applied, txn.options.smp_routing,
+      apply.require_reachable, apply.abort_after_smps,
+      txn.stats.drain_smps + txn.stats.lft_smps);
+  txn.stats.lft_smps += updated.cost.smps;
+  txn.stats.lft_time_us += updated.cost.time_us;
+  throw_if_stopped(fabric, updated, "during reconfiguration");
   txn.stats.switches_updated = update_set.size();
   sm_->bump_generation();
 
@@ -633,68 +609,28 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
 }
 
 void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
-  IBVS_REQUIRE(!txn.terminal(), "transaction already terminal");
-  Fabric& fabric = sm_->fabric();
-  auto& transport = sm_->transport();
-  const auto& routing = sm_->routing_result();
+  const sm::JournalRecord* record = journal_.find(txn.id);
+  IBVS_REQUIRE(!txn.terminal() && record != nullptr,
+               "transaction already terminal");
 
   // Inverse LFT deltas, newest first: undoing in reverse restores the
   // pre-transaction bytes exactly, drain writes included.
-  if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = routing.graph.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_->update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
-    transport.begin_batch();
-    for (routing::SwitchIdx s : touched) {
-      txn.rollback_smps += sm_->push_dirty_blocks(s, txn.options.smp_routing);
-    }
-    txn.rollback_time_us += transport.end_batch();
-  }
+  const sm::SmpCost lfts =
+      sm::revert_deltas(*sm_, txn.applied, txn.options.smp_routing);
+  txn.rollback_smps += lfts.smps;
+  txn.rollback_time_us += lfts.time_us;
 
   // Re-attach the VF at the source: reverse of step (a).
-  if (txn.addresses_moved) {
-    const VirtualHca& src = hypervisors_[txn.src_hypervisor];
-    const VirtualHca& dst = hypervisors_[txn.dst_hypervisor];
-    const NodeId vf_src = src.vfs[txn.src_vf_index];
-    const NodeId vf_dst = dst.vfs[txn.dst_vf_index];
-    sm_->lids().move(fabric, txn.vm_lid, vf_src, 1);
-    if (txn.swapped_lid.valid()) {
-      sm_->lids().move(fabric, txn.swapped_lid, vf_dst, 1);
-    }
-    fabric.node(vf_src).alias_guid = txn.vguid;
-    fabric.node(vf_dst).alias_guid =
-        txn.is_swap ? txn.peer_vguid : kInvalidGuid;
-    transport.begin_batch();
-    transport.send_vf_lid_assign(src.pf,
-                                 static_cast<PortNum>(txn.src_vf_index),
-                                 txn.vm_lid, txn.options.smp_routing);
-    transport.send_vf_lid_assign(
-        dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-        txn.swapped_lid.valid() ? txn.swapped_lid : kInvalidLid,
-        txn.options.smp_routing);
-    transport.send_guid_info(src.pf, static_cast<PortNum>(txn.src_vf_index),
-                             txn.vguid, txn.options.smp_routing);
-    txn.rollback_smps += 3;
-    if (txn.is_swap) {
-      // The peer's vGUID moved too; restore it to the destination VF.
-      transport.send_guid_info(dst.pf, static_cast<PortNum>(txn.dst_vf_index),
-                               txn.peer_vguid, txn.options.smp_routing);
-      txn.rollback_smps += 1;
-    }
-    txn.rollback_time_us += transport.end_batch();
+  if (record->started) {
+    const sm::SmpCost addresses = sm::undo_addresses(
+        *sm_, *record->migration(), txn.options.smp_routing);
+    txn.rollback_smps += addresses.smps;
+    txn.rollback_time_us += addresses.time_us;
     sm_->refresh_targets();
-    txn.addresses_moved = false;
   }
   sm_->bump_generation();
 
   journal_.roll_back(txn.id);
-  if (auto* record = journal_.find(txn.id)) record->reconciled = true;
   txn.state = TxnState::kRolledBack;
   auto& metrics = VSwitchMetrics::get();
   metrics.migrations_rolled_back.inc();
@@ -723,7 +659,6 @@ void VSwitchFabric::txn_commit(MigrationTxn& txn) {
   vm.hypervisor = txn.dst_hypervisor;
   vm.vf_index = txn.dst_vf_index;
   journal_.commit(txn.id);
-  if (auto* record = journal_.find(txn.id)) record->reconciled = true;
   txn.state = TxnState::kCommitted;
   VSwitchMetrics::get().migrations_committed.inc();
 }
@@ -731,14 +666,17 @@ void VSwitchFabric::txn_commit(MigrationTxn& txn) {
 VSwitchFabric::ReconcileReport VSwitchFabric::reconcile_with_journal() {
   ReconcileReport report;
   auto& metrics = VSwitchMetrics::get();
-  for (const sm::MigrationRecord& r : journal_.records()) {
-    if (r.reconciled || r.state == sm::RecordState::kInFlight) continue;
+  for (const sm::JournalRecord* record : journal_.records()) {
+    if (record->reconciled || record->state == sm::RecordState::kInFlight) {
+      continue;
+    }
+    const sm::MigrationPayload& r = *record->migration();
+    const bool committed = record->state == sm::RecordState::kCommitted;
     const auto it = vms_.find(r.vm_id);
     if (it != vms_.end()) {
       Vm& vm = it->second;
-      if (r.state == sm::RecordState::kCommitted &&
-          (vm.hypervisor != r.dst_hypervisor ||
-           vm.vf_index != r.dst_vf_index)) {
+      if (committed && (vm.hypervisor != r.dst_hypervisor ||
+                        vm.vf_index != r.dst_vf_index)) {
         if (r.swap_pair) {
           const auto peer_it = vms_.find(r.peer_vm_id);
           if (peer_it != vms_.end()) {
@@ -758,14 +696,14 @@ VSwitchFabric::ReconcileReport VSwitchFabric::reconcile_with_journal() {
       // advances the slot bookkeeping at commit, so the VM still sits at
       // the source.
     }
-    if (r.state == sm::RecordState::kCommitted) {
+    if (committed) {
       ++report.committed;
       metrics.migrations_committed.inc();
     } else {
       ++report.rolled_back;
       metrics.migrations_rolled_back.inc();
     }
-    journal_.find(r.id)->reconciled = true;
+    journal_.find(record->id)->reconciled = true;
   }
   return report;
 }
@@ -787,26 +725,7 @@ MigrationReport VSwitchFabric::migrate_vm(VmHandle handle,
   MigrationTxn txn = begin_migration(handle, dst_hypervisor, options);
   auto span = telemetry::Tracer::global().span(
       "vswitch.migrate", {{"scheme", to_string(scheme_)}});
-  try {
-    txn_move_addresses(txn);
-    txn_apply_lfts(txn);
-  } catch (...) {
-    // One-shot semantics with an undo: any mid-flight failure restores the
-    // source placement before surfacing to the caller.
-    txn_rollback(txn);
-    throw;
-  }
-  txn_commit(txn);
-
-  MigrationReport report;
-  report.vm = handle.id;
-  report.src_hypervisor = txn.src_hypervisor;
-  report.dst_hypervisor = txn.dst_hypervisor;
-  report.vm_lid = txn.vm_lid;
-  report.swapped_lid = txn.swapped_lid;
-  report.intra_leaf = txn.intra_leaf;
-  report.reconfig = txn.stats;
-  report.minimal_set_size = txn.minimal_set_size;
+  const MigrationReport report = run_to_commit(*this, txn);
   span.set_attr("intra_leaf", report.intra_leaf ? "true" : "false");
   span.set_attr("switches_updated",
                 std::to_string(report.reconfig.switches_updated));
@@ -826,24 +745,7 @@ MigrationReport VSwitchFabric::swap_vms(VmHandle vm_a, VmHandle vm_b,
   MigrationTxn txn = begin_swap(vm_a, vm_b, options);
   auto span = telemetry::Tracer::global().span(
       "vswitch.swap", {{"scheme", to_string(scheme_)}});
-  try {
-    txn_move_addresses(txn);
-    txn_apply_lfts(txn);
-  } catch (...) {
-    txn_rollback(txn);
-    throw;
-  }
-  txn_commit(txn);
-
-  MigrationReport report;
-  report.vm = vm_a.id;
-  report.src_hypervisor = txn.src_hypervisor;
-  report.dst_hypervisor = txn.dst_hypervisor;
-  report.vm_lid = txn.vm_lid;
-  report.swapped_lid = txn.swapped_lid;
-  report.intra_leaf = txn.intra_leaf;
-  report.reconfig = txn.stats;
-  report.minimal_set_size = txn.minimal_set_size;
+  const MigrationReport report = run_to_commit(*this, txn);
   span.set_attr("switches_updated",
                 std::to_string(report.reconfig.switches_updated));
   span.set_attr("lft_smps", std::to_string(report.reconfig.lft_smps));

@@ -271,6 +271,8 @@ class VSwitchFabric {
 
   Lid pf_lid(std::size_t hypervisor) const;
   Vm& vm_mutable(VmHandle handle);
+  /// Opens the transaction's write-ahead journal record; returns its id.
+  std::uint64_t open_record(const MigrationTxn& txn);
   /// Keep slots_ and the per-hypervisor free-lists in lockstep.
   void mark_slot_used(std::size_t hypervisor, std::size_t vf,
                       std::uint32_t vm_id);

@@ -1,6 +1,10 @@
 #include "sm/reconfig_journal.hpp"
 
+#include <algorithm>
+#include <utility>
+
 #include "routing/graph.hpp"
+#include "sm/delta_txn.hpp"
 #include "sm/topology_txn.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
@@ -45,13 +49,13 @@ struct JournalMetrics {
 /// deltas are valid for the fully-mutated fabric), so the common recovery
 /// path stays free of route recomputation.
 void repair_rolled_back_routes(
-    SubnetManager& sm, const std::vector<const TopologyRecord*>& rolled) {
+    SubnetManager& sm, const std::vector<const TopologyPayload*>& rolled) {
   if (rolled.empty()) return;
   Fabric& fabric = sm.fabric();
   const auto& result = sm.routing_result();
   const auto& g = result.graph;
   const auto hops = routing::switch_hop_matrix(g);
-  for (const TopologyRecord* r : rolled) {
+  for (const TopologyPayload* r : rolled) {
     const bool removed_cables =
         r->op == TopologyOp::kAttachSwitch || r->op == TopologyOp::kAddLink;
     if (removed_cables) {
@@ -118,6 +122,84 @@ void repair_rolled_back_routes(
   }
 }
 
+/// Folds one resolved in-flight record into the report, the metrics and
+/// the log.
+void settle(JournalRecord& r, bool forward, RecoveryReport& report) {
+  r.state = forward ? RecordState::kCommitted : RecordState::kRolledBack;
+  auto& metrics = JournalMetrics::get();
+  ++(forward ? report.rolled_forward : report.rolled_back);
+  (forward ? metrics.replays_forward : metrics.replays_back).inc();
+  const MigrationPayload* m = r.migration();
+  IBVS_INFO("journal") << "record " << r.id << " ("
+                       << (m ? "vm " + std::to_string(m->vm_id)
+                             : std::string(to_string(r.topology()->op)))
+                       << ") rolled " << (forward ? "forward: " : "back: ")
+                       << r.deltas.size() << " deltas replayed";
+}
+
+/// Resolves one in-flight migration record against the current fabric.
+/// Both branches are pure master-table and LidMap fixups, plus the address
+/// SMPs of an undo; redistribution turns the rest into SMPs.
+void resolve_migration(SubnetManager& sm, JournalRecord& r,
+                       RecoveryReport& report, SmpRouting routing) {
+  const MigrationPayload& m = *r.migration();
+  // Roll forward only when the write-ahead marks prove the migration got
+  // past the address move AND the destination can still be programmed;
+  // everything else is undone.
+  const bool dst_reachable = sm.transport().hops_to(m.dst_pf).has_value();
+  const bool forward = r.started && !r.deltas.empty() && dst_reachable;
+  replay_master(sm, r.deltas, forward);
+  if (forward) {
+    place_addresses(sm, m, /*at_destination=*/true);
+  } else if (r.started) {
+    const SmpCost cost = undo_addresses(sm, m, routing);
+    report.address_smps += cost.smps;
+    report.address_time_us += cost.time_us;
+  }
+  settle(r, forward, report);
+}
+
+/// Resolves one in-flight topology record against the current fabric.
+void resolve_topology(SubnetManager& sm, JournalRecord& r,
+                      RecoveryReport& report) {
+  Fabric& fabric = sm.fabric();
+  auto& transport = sm.transport();
+  const TopologyPayload& t = *r.topology();
+  // Roll forward only when the write-ahead marks prove the mutation began
+  // AND the re-route plan was recorded. An attach additionally needs the
+  // new switch to still be programmable — a switch that died mid-attach is
+  // rolled back out of the fabric, never committed half-routed.
+  bool forward = r.started && !r.deltas.empty();
+  if (t.op == TopologyOp::kAttachSwitch) {
+    forward = forward && transport.hops_to(t.subject).has_value();
+  }
+  replay_master(sm, r.deltas, forward);
+  if (forward) {
+    if (t.op == TopologyOp::kAttachSwitch && t.subject_lid.valid() &&
+        !sm.lids().assigned(t.subject_lid)) {
+      // The crash hit between the mutation and the LID assignment: finish
+      // the addressing. Directed-route PortInfo — the new switch's LID may
+      // not be installed anywhere yet.
+      sm.lids().assign(fabric, t.subject, 0, t.subject_lid);
+      transport.begin_batch();
+      transport.send_port_info_set(t.subject, 0, SmpRouting::kDirected);
+      report.address_smps += 1;
+      report.address_time_us += transport.end_batch();
+    }
+    if (t.op == TopologyOp::kDetachSwitch && t.subject_lid.valid() &&
+        sm.lids().assigned(t.subject_lid) &&
+        sm.lids().owner(t.subject_lid).node == t.subject) {
+      sm.lids().release(fabric, t.subject_lid);
+    }
+  } else if (r.started) {
+    const SmpCost cost = undo_cabling(sm, t);
+    report.address_smps += cost.smps;
+    report.address_time_us += cost.time_us;
+  }
+  r.reconciled = true;  // recovery is the only bookkeeper for these
+  settle(r, forward, report);
+}
+
 }  // namespace
 
 const char* to_string(RecordState state) {
@@ -146,154 +228,102 @@ const char* to_string(TopologyOp op) {
   return "?";
 }
 
-std::uint64_t ReconfigJournal::begin(MigrationRecord record) {
-  IBVS_REQUIRE(record.vm_lid.valid(), "journal record needs the VM LID");
-  IBVS_REQUIRE(record.src_vf != kInvalidNode && record.dst_vf != kInvalidNode,
-               "journal record needs both VF nodes");
+std::uint64_t ReconfigJournal::begin(
+    std::variant<MigrationPayload, TopologyPayload> payload) {
+  if (const auto* m = std::get_if<MigrationPayload>(&payload)) {
+    IBVS_REQUIRE(m->vm_lid.valid(), "journal record needs the VM LID");
+    IBVS_REQUIRE(m->src_vf != kInvalidNode && m->dst_vf != kInvalidNode,
+                 "journal record needs both VF nodes");
+    JournalMetrics::get().begun.inc();
+  } else {
+    const auto& t = std::get<TopologyPayload>(payload);
+    const bool switch_op = t.op == TopologyOp::kAttachSwitch ||
+                           t.op == TopologyOp::kDetachSwitch;
+    IBVS_REQUIRE(!switch_op || t.subject != kInvalidNode,
+                 "switch delta needs its subject node");
+    IBVS_REQUIRE(!t.cables.empty(), "topology record needs its cable set");
+    JournalMetrics::get().topology_begun.inc();
+  }
+  JournalRecord& record = records_.emplace_back();
   record.id = next_id_++;
-  record.state = RecordState::kInFlight;
-  record.reconciled = false;
-  JournalMetrics::get().begun.inc();
-  records_.push_back(std::move(record));
-  return records_.back().id;
+  record.payload = std::move(payload);
+  return record.id;
 }
 
-MigrationRecord* ReconfigJournal::find(std::uint64_t id) {
-  for (MigrationRecord& r : records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+JournalRecord* ReconfigJournal::find(std::uint64_t id) {
+  return const_cast<JournalRecord*>(std::as_const(*this).find(id));
 }
 
-const MigrationRecord* ReconfigJournal::find(std::uint64_t id) const {
-  for (const MigrationRecord& r : records_) {
-    if (r.id == id) return &r;
-  }
-  return nullptr;
+const JournalRecord* ReconfigJournal::find(std::uint64_t id) const {
+  // Ids are handed out in increasing order and truncation keeps the order.
+  const auto it = std::lower_bound(
+      records_.begin(), records_.end(), id,
+      [](const JournalRecord& r, std::uint64_t v) { return r.id < v; });
+  return it != records_.end() && it->id == id ? &*it : nullptr;
 }
 
-void ReconfigJournal::record_addresses_moved(std::uint64_t id) {
-  MigrationRecord* r = find(id);
+JournalRecord& ReconfigJournal::in_flight_record(std::uint64_t id) {
+  JournalRecord* r = find(id);
   IBVS_REQUIRE(r != nullptr, "unknown journal record");
   IBVS_REQUIRE(r->state == RecordState::kInFlight,
                "record is no longer in flight");
-  r->addresses_moved = true;
+  return *r;
+}
+
+void ReconfigJournal::record_started(std::uint64_t id) {
+  in_flight_record(id).started = true;
+}
+
+void ReconfigJournal::record_topology_lid(std::uint64_t id, Lid lid) {
+  auto* t = std::get_if<TopologyPayload>(&in_flight_record(id).payload);
+  IBVS_REQUIRE(t != nullptr, "not a topology record");
+  t->subject_lid = lid;
 }
 
 void ReconfigJournal::record_deltas(std::uint64_t id,
                                     std::vector<LftDelta> deltas) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
+  in_flight_record(id).deltas = std::move(deltas);
 }
 
 void ReconfigJournal::commit(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
+  JournalRecord& r = in_flight_record(id);
+  r.state = RecordState::kCommitted;
+  r.reconciled = true;
 }
 
 void ReconfigJournal::roll_back(std::uint64_t id) {
-  MigrationRecord* r = find(id);
-  IBVS_REQUIRE(r != nullptr, "unknown journal record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
+  JournalRecord& r = in_flight_record(id);
+  r.state = RecordState::kRolledBack;
+  r.reconciled = true;
 }
 
-std::uint64_t ReconfigJournal::begin_topology(TopologyRecord record) {
-  const bool switch_op = record.op == TopologyOp::kAttachSwitch ||
-                         record.op == TopologyOp::kDetachSwitch;
-  IBVS_REQUIRE(!switch_op || record.subject != kInvalidNode,
-               "switch delta needs its subject node");
-  IBVS_REQUIRE(!record.cables.empty(), "topology record needs its cable set");
-  record.id = next_id_++;
-  record.state = RecordState::kInFlight;
-  record.reconciled = false;
-  JournalMetrics::get().topology_begun.inc();
-  topology_records_.push_back(std::move(record));
-  return topology_records_.back().id;
-}
-
-TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) {
-  for (TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
+std::vector<const JournalRecord*> ReconfigJournal::records() const {
+  std::vector<const JournalRecord*> out;
+  for (const JournalRecord& r : records_) {
+    if (r.migration()) out.push_back(&r);
   }
-  return nullptr;
+  return out;
 }
 
-const TopologyRecord* ReconfigJournal::find_topology(std::uint64_t id) const {
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.id == id) return &r;
+std::vector<const JournalRecord*> ReconfigJournal::topology_records() const {
+  std::vector<const JournalRecord*> out;
+  for (const JournalRecord& r : records_) {
+    if (r.topology()) out.push_back(&r);
   }
-  return nullptr;
-}
-
-void ReconfigJournal::record_topology_mutated(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->mutated = true;
-}
-
-void ReconfigJournal::record_topology_lid(std::uint64_t id, Lid lid) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->subject_lid = lid;
-}
-
-void ReconfigJournal::record_topology_deltas(std::uint64_t id,
-                                             std::vector<LftDelta> deltas) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->deltas = std::move(deltas);
-}
-
-void ReconfigJournal::commit_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kCommitted;
-}
-
-void ReconfigJournal::roll_back_topology(std::uint64_t id) {
-  TopologyRecord* r = find_topology(id);
-  IBVS_REQUIRE(r != nullptr, "unknown topology record");
-  IBVS_REQUIRE(r->state == RecordState::kInFlight,
-               "record is no longer in flight");
-  r->state = RecordState::kRolledBack;
+  return out;
 }
 
 std::size_t ReconfigJournal::in_flight() const {
-  std::size_t n = 0;
-  for (const MigrationRecord& r : records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) ++n;
-  }
-  return n;
+  return static_cast<std::size_t>(
+      std::count_if(records_.begin(), records_.end(), [](const auto& r) {
+        return r.state == RecordState::kInFlight;
+      }));
 }
 
 std::size_t ReconfigJournal::truncate_reconciled() {
-  const std::size_t before = records_.size() + topology_records_.size();
-  std::erase_if(records_, [](const MigrationRecord& r) {
+  return std::erase_if(records_, [](const JournalRecord& r) {
     return r.state != RecordState::kInFlight && r.reconciled;
   });
-  std::erase_if(topology_records_, [](const TopologyRecord& r) {
-    return r.state != RecordState::kInFlight && r.reconciled;
-  });
-  return before - records_.size() - topology_records_.size();
 }
 
 RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
@@ -308,102 +338,30 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   auto span = telemetry::Tracer::global().span(
       "journal.recover",
       {{"in_flight", std::to_string(report.in_flight)}});
-  Fabric& fabric = sm.fabric();
-  auto& transport = sm.transport();
 
   // An in-flight topology delta means the cabling the recovering SM swept
   // may already be mid-mutation: adopt the current structure first so dense
   // lookups, reachability and redistribution all see the fabric as cabled
   // right now. Append-stable dense indices make this safe for the
-  // migration records below too.
-  bool topology_in_flight = false;
-  for (const TopologyRecord& r : topology_records_) {
-    if (r.state == RecordState::kInFlight) topology_in_flight = true;
-  }
+  // migration records too.
+  const bool topology_in_flight =
+      std::any_of(records_.begin(), records_.end(), [](const auto& r) {
+        return r.state == RecordState::kInFlight && r.topology();
+      });
   if (topology_in_flight) sm.adopt_topology_change();
-  const auto& graph = sm.routing_result().graph;
 
-  for (MigrationRecord& r : records_) {
-    if (r.state != RecordState::kInFlight) continue;
-    // Roll forward only when the write-ahead marks prove the migration got
-    // past the address move AND the destination can still be programmed;
-    // everything else is undone. Both branches are pure master-table and
-    // LidMap fixups — redistribution below turns them into SMPs.
-    const bool dst_reachable = transport.hops_to(r.dst_pf).has_value();
-    const bool forward =
-        r.addresses_moved && !r.deltas.empty() && dst_reachable;
-    if (forward) {
-      if (sm.lids().owner(r.vm_lid).node != r.dst_vf) {
-        sm.lids().move(fabric, r.vm_lid, r.dst_vf, 1);
-      }
-      if (r.swapped_lid.valid() &&
-          sm.lids().owner(r.swapped_lid).node != r.src_vf) {
-        sm.lids().move(fabric, r.swapped_lid, r.src_vf, 1);
-      }
-      fabric.node(r.dst_vf).alias_guid = r.vguid;
-      fabric.node(r.src_vf).alias_guid =
-          r.swap_pair ? r.peer_vguid : kInvalidGuid;
-      for (const LftDelta& d : r.deltas) {
-        const routing::SwitchIdx s = graph.dense(d.switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, d.lid, d.new_port);
-      }
-      r.state = RecordState::kCommitted;
-      ++report.rolled_forward;
-      JournalMetrics::get().replays_forward.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled forward: " << r.deltas.size()
-                           << " deltas replayed";
-    } else {
-      for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-        const routing::SwitchIdx s = graph.dense(it->switch_node);
-        if (s == routing::kNoSwitch) continue;
-        sm.update_master_entry(s, it->lid, it->old_port);
-      }
-      if (r.addresses_moved) {
-        if (sm.lids().owner(r.vm_lid).node != r.src_vf) {
-          sm.lids().move(fabric, r.vm_lid, r.src_vf, 1);
-        }
-        if (r.swapped_lid.valid() &&
-            sm.lids().owner(r.swapped_lid).node != r.dst_vf) {
-          sm.lids().move(fabric, r.swapped_lid, r.dst_vf, 1);
-        }
-        fabric.node(r.src_vf).alias_guid = r.vguid;
-        fabric.node(r.dst_vf).alias_guid =
-            r.swap_pair ? r.peer_vguid : kInvalidGuid;
-        // Re-attach the VF addresses at the source: the reverse of §V-C
-        // step (a), priced on the batch clock like the forward path. A
-        // swap pair also restores the peer's vGUID at the destination.
-        transport.begin_batch();
-        transport.send_vf_lid_assign(r.src_pf, r.src_vf_slot, r.vm_lid,
-                                     routing);
-        transport.send_vf_lid_assign(
-            r.dst_pf, r.dst_vf_slot,
-            r.swapped_lid.valid() ? r.swapped_lid : kInvalidLid, routing);
-        transport.send_guid_info(r.src_pf, r.src_vf_slot, r.vguid, routing);
-        report.address_smps += 3;
-        if (r.swap_pair) {
-          transport.send_guid_info(r.dst_pf, r.dst_vf_slot, r.peer_vguid,
-                                   routing);
-          report.address_smps += 1;
-        }
-        report.address_time_us += transport.end_batch();
-      }
-      r.state = RecordState::kRolledBack;
-      ++report.rolled_back;
-      JournalMetrics::get().replays_back.inc();
-      IBVS_INFO("journal") << "record " << r.id << " (vm " << r.vm_id
-                           << ") rolled back: " << r.deltas.size()
-                           << " inverse deltas applied";
+  // Migrations resolve before topology deltas.
+  for (JournalRecord& r : records_) {
+    if (r.state == RecordState::kInFlight && r.migration()) {
+      resolve_migration(sm, r, report, routing);
     }
   }
-
-  std::vector<const TopologyRecord*> rolled_back_topology;
-  for (TopologyRecord& r : topology_records_) {
-    if (r.state != RecordState::kInFlight) continue;
-    recover_topology(sm, r, report, routing);
+  std::vector<const TopologyPayload*> rolled_back_topology;
+  for (JournalRecord& r : records_) {
+    if (r.state != RecordState::kInFlight || !r.topology()) continue;
+    resolve_topology(sm, r, report);
     if (r.state == RecordState::kRolledBack) {
-      rolled_back_topology.push_back(&r);
+      rolled_back_topology.push_back(r.topology());
     }
   }
   // Rolling a topology record back (or forward past a partial mutation) can
@@ -423,101 +381,6 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   span.set_attr("rolled_back", std::to_string(report.rolled_back));
   span.set_attr("smps", std::to_string(report.redistribution.smps));
   return report;
-}
-
-void ReconfigJournal::recover_topology(SubnetManager& sm, TopologyRecord& r,
-                                       RecoveryReport& report,
-                                       SmpRouting routing) {
-  Fabric& fabric = sm.fabric();
-  auto& transport = sm.transport();
-  const auto& graph = sm.routing_result().graph;
-  // Roll forward only when the write-ahead marks prove the mutation began
-  // AND the re-route plan was recorded. An attach additionally needs the
-  // new switch to still be programmable — a switch that died mid-attach is
-  // rolled back out of the fabric, never committed half-routed.
-  bool forward = r.mutated && !r.deltas.empty();
-  if (r.op == TopologyOp::kAttachSwitch) {
-    forward = forward && transport.hops_to(r.subject).has_value();
-  }
-  if (forward) {
-    for (const LftDelta& d : r.deltas) {
-      const routing::SwitchIdx s = graph.dense(d.switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm.update_master_entry(s, d.lid, d.new_port);
-    }
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
-      // The crash hit between the mutation and the LID assignment: finish
-      // the addressing. Directed-route PortInfo — the new switch's LID may
-      // not be installed anywhere yet.
-      sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
-      transport.begin_batch();
-      transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
-      report.address_smps += 1;
-      report.address_time_us += transport.end_batch();
-    }
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-    r.state = RecordState::kCommitted;
-    r.reconciled = true;  // recovery is the only bookkeeper for these
-    ++report.rolled_forward;
-    JournalMetrics::get().replays_forward.inc();
-    IBVS_INFO("journal") << "topology record " << r.id << " ("
-                         << to_string(r.op) << ") rolled forward: "
-                         << r.deltas.size() << " deltas replayed";
-    return;
-  }
-  for (auto it = r.deltas.rbegin(); it != r.deltas.rend(); ++it) {
-    const routing::SwitchIdx s = graph.dense(it->switch_node);
-    if (s == routing::kNoSwitch) continue;
-    sm.update_master_entry(s, it->lid, it->old_port);
-  }
-  const bool adds_cables =
-      r.op == TopologyOp::kAttachSwitch || r.op == TopologyOp::kAddLink;
-  if (adds_cables) {
-    // Unplug whatever the attach managed to cable before dying; tolerate
-    // cables the mutation never reached.
-    for (const CableSpec& c : r.cables) {
-      const auto peer = fabric.peer(c.a, c.port_a);
-      if (peer && peer->first == c.b && peer->second == c.port_b) {
-        fabric.disconnect(c.a, c.port_a);
-      }
-    }
-    transport.invalidate_topology();
-    if (r.op == TopologyOp::kAttachSwitch && r.subject_lid.valid() &&
-        sm.lids().assigned(r.subject_lid) &&
-        sm.lids().owner(r.subject_lid).node == r.subject) {
-      sm.lids().release(fabric, r.subject_lid);
-    }
-  } else {
-    // Re-plug exactly what the detach severed; tolerate cables it never
-    // reached or that something else (a chaos cut) took down meanwhile.
-    for (const CableSpec& c : r.cables) {
-      if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
-        fabric.connect(c.a, c.port_a, c.b, c.port_b);
-      }
-    }
-    transport.invalidate_topology();
-    if (r.op == TopologyOp::kDetachSwitch && r.subject_lid.valid() &&
-        !sm.lids().assigned(r.subject_lid)) {
-      sm.lids().assign(fabric, r.subject, 0, r.subject_lid);
-      transport.begin_batch();
-      transport.send_port_info_set(r.subject, 0, SmpRouting::kDirected);
-      report.address_smps += 1;
-      report.address_time_us += transport.end_batch();
-    }
-  }
-  r.state = RecordState::kRolledBack;
-  r.reconciled = true;  // recovery is the only bookkeeper for these
-  ++report.rolled_back;
-  JournalMetrics::get().replays_back.inc();
-  IBVS_INFO("journal") << "topology record " << r.id << " ("
-                       << to_string(r.op) << ") rolled back: "
-                       << r.deltas.size() << " inverse deltas applied";
-  (void)routing;
 }
 
 }  // namespace ibvs::sm

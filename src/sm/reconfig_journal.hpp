@@ -1,4 +1,5 @@
-// Write-ahead reconfiguration journal for live migrations.
+// Write-ahead reconfiguration journal for live migrations and topology
+// deltas.
 //
 // The paper's migration (§V-C, Algorithm 1) rewrites LFT entries on up to n
 // switches; a master-SM death mid-batch leaves the fabric half-reconfigured
@@ -10,6 +11,8 @@
 // after an aborted batch, or a *new* master elected via SmElection — can
 // deterministically replay the in-flight record to completion or roll it
 // back, then redistribute diffs until the fabric is provably un-mixed.
+// Topology deltas (sm/topology_txn) write the same record type with a
+// cabling payload instead of an address payload.
 //
 // Records are keyed by durable identities only (NodeId, Lid, PortNum — never
 // SwitchIdx, which is an artifact of one routing run), and replay is
@@ -18,6 +21,7 @@
 #pragma once
 
 #include <cstdint>
+#include <variant>
 #include <vector>
 
 #include "sm/subnet_manager.hpp"
@@ -49,8 +53,7 @@ enum class RecordState : std::uint8_t {
 /// hypervisor/VF indices are opaque orchestrator-side tags: the SM never
 /// interprets them, but carrying them lets the vSwitch layer reconcile its
 /// slot bookkeeping with whatever outcome recovery chose.
-struct MigrationRecord {
-  std::uint64_t id = 0;
+struct MigrationPayload {
   std::uint32_t vm_id = 0;
   Lid vm_lid;
   /// The second LID of the record: the destination VF's prepopulated LID
@@ -73,14 +76,6 @@ struct MigrationRecord {
   std::size_t dst_hypervisor = 0;  ///< orchestrator tag
   std::size_t src_vf_index = 0;    ///< orchestrator tag
   std::size_t dst_vf_index = 0;    ///< orchestrator tag
-  /// Write-ahead flags: set *before* the corresponding SMPs go out.
-  bool addresses_moved = false;
-  std::vector<LftDelta> deltas;  ///< the full planned LFT delta set
-  RecordState state = RecordState::kInFlight;
-  /// Set once the vSwitch layer has folded this record's outcome into its
-  /// slot bookkeeping (reconcile_with_journal), or when the record was
-  /// committed / rolled back through the normal transaction path.
-  bool reconciled = false;
 };
 
 /// Which structural change a topology record describes.
@@ -94,11 +89,10 @@ enum class TopologyOp : std::uint8_t {
 [[nodiscard]] const char* to_string(TopologyOp op);
 
 /// Everything a recovering SM needs to finish or undo one topology delta.
-/// Like MigrationRecord, keyed by durable identities only — the cable list
-/// carries exact endpoints so a rolled-back detach re-plugs precisely what
-/// was severed, and a rolled-back attach unplugs precisely what was added.
-struct TopologyRecord {
-  std::uint64_t id = 0;
+/// The cable list carries exact endpoints so a rolled-back detach re-plugs
+/// precisely what was severed, and a rolled-back attach unplugs precisely
+/// what was added.
+struct TopologyPayload {
   TopologyOp op = TopologyOp::kAddLink;
   /// The switch being attached or detached (kInvalidNode for link ops).
   NodeId subject = kInvalidNode;
@@ -108,11 +102,30 @@ struct TopologyRecord {
   /// Cables this delta adds (attach/add_link) or removes
   /// (detach/remove_link).
   std::vector<CableSpec> cables;
-  /// Write-ahead mark: the cabling mutation is about to begin.
-  bool mutated = false;
-  std::vector<LftDelta> deltas;  ///< the full planned re-route delta set
+};
+
+/// One write-ahead record: a migration or a topology delta, keyed by
+/// durable identities only.
+struct JournalRecord {
+  std::uint64_t id = 0;
   RecordState state = RecordState::kInFlight;
+  /// Set once the record's outcome is folded into the caller's bookkeeping:
+  /// by commit/roll_back on the transaction path, by recovery for topology
+  /// records, by VSwitchFabric::reconcile_with_journal for recovered
+  /// migrations.
   bool reconciled = false;
+  /// Write-ahead mark, set before the op's first side effect: the address
+  /// SMPs of a migration, the first plug/unplug of a topology delta.
+  bool started = false;
+  std::vector<LftDelta> deltas;  ///< the full planned LFT delta set
+  std::variant<MigrationPayload, TopologyPayload> payload;
+
+  [[nodiscard]] const MigrationPayload* migration() const noexcept {
+    return std::get_if<MigrationPayload>(&payload);
+  }
+  [[nodiscard]] const TopologyPayload* topology() const noexcept {
+    return std::get_if<TopologyPayload>(&payload);
+  }
 };
 
 /// What ReconfigJournal::recover() did to the in-flight records.
@@ -128,77 +141,56 @@ struct RecoveryReport {
 class ReconfigJournal {
  public:
   /// Opens a record; assigns and returns its id. State starts kInFlight.
-  std::uint64_t begin(MigrationRecord record);
+  std::uint64_t begin(std::variant<MigrationPayload, TopologyPayload> payload);
 
-  /// Write-ahead mark: the address-migration SMPs (§V-C step a) are about
-  /// to be sent for record `id`.
-  void record_addresses_moved(std::uint64_t id);
+  /// Write-ahead mark: record `id`'s first side effect is about to happen.
+  void record_started(std::uint64_t id);
+
+  /// Write-ahead mark: the subject's LID for topology record `id`, recorded
+  /// before the PortInfo SMP goes out (an attach learns the LID only
+  /// mid-flight).
+  void record_topology_lid(std::uint64_t id, Lid lid);
 
   /// Write-ahead mark: the LFT delta set for record `id`, recorded before
-  /// any swap/copy SMP goes out.
+  /// any LFT SMP goes out.
   void record_deltas(std::uint64_t id, std::vector<LftDelta> deltas);
 
+  /// Terminal marks from the transaction path; both set `reconciled`.
   void commit(std::uint64_t id);
   void roll_back(std::uint64_t id);
 
-  [[nodiscard]] MigrationRecord* find(std::uint64_t id);
-  [[nodiscard]] const MigrationRecord* find(std::uint64_t id) const;
-  [[nodiscard]] const std::vector<MigrationRecord>& records() const noexcept {
-    return records_;
-  }
+  [[nodiscard]] JournalRecord* find(std::uint64_t id);
+  [[nodiscard]] const JournalRecord* find(std::uint64_t id) const;
+  /// The migration records and the topology records, each in journal
+  /// order. The pointers stay valid until the next begin or truncation.
+  [[nodiscard]] std::vector<const JournalRecord*> records() const;
+  [[nodiscard]] std::vector<const JournalRecord*> topology_records() const;
   [[nodiscard]] std::size_t in_flight() const;
 
-  /// Opens a topology record; assigns and returns its id.
-  std::uint64_t begin_topology(TopologyRecord record);
-
-  /// Write-ahead mark: the cabling mutation for record `id` is about to run.
-  void record_topology_mutated(std::uint64_t id);
-
-  /// Write-ahead mark: the subject's LID for record `id`, recorded before
-  /// the PortInfo SMP goes out (an attach learns the LID only mid-flight).
-  void record_topology_lid(std::uint64_t id, Lid lid);
-
-  /// Write-ahead mark: the re-route delta set for record `id`, recorded
-  /// before any LFT SMP goes out.
-  void record_topology_deltas(std::uint64_t id, std::vector<LftDelta> deltas);
-
-  void commit_topology(std::uint64_t id);
-  void roll_back_topology(std::uint64_t id);
-
-  [[nodiscard]] TopologyRecord* find_topology(std::uint64_t id);
-  [[nodiscard]] const TopologyRecord* find_topology(std::uint64_t id) const;
-  [[nodiscard]] const std::vector<TopologyRecord>& topology_records()
-      const noexcept {
-    return topology_records_;
-  }
-
-  /// Drops terminal records the vSwitch layer has already reconciled,
-  /// bounding journal growth. Returns how many were dropped.
+  /// Drops terminal records whose outcome is reconciled, bounding journal
+  /// growth. Returns how many were dropped.
   std::size_t truncate_reconciled();
 
   /// Crash-consistent replay, run by whichever SM owns the subnet now (a
   /// standby promoted by SmElection after the master died mid-batch, or the
-  /// surviving instance after an aborted transaction). For every in-flight
-  /// record, deterministically either
-  ///   * rolls forward — addresses already moved, deltas recorded, and the
-  ///     destination PF reachable: re-apply every delta to the master
-  ///     tables and fix the LidMap/alias-GUID state, or
-  ///   * rolls back — apply the inverse deltas and restore the addresses to
-  ///     the source VF (reverse swap for prepopulated, restore-entry for
-  ///     dynamic), pricing the VF LID/GUID SMPs on the batch clock,
-  /// then redistributes master/installed diffs until convergence. No route
-  /// recomputation happens: recovery keeps the PCt-free property (§VI).
-  /// Idempotent — a second call finds nothing in flight and sends nothing.
+  /// surviving instance after an aborted transaction). Every in-flight
+  /// record — migrations first, then topology deltas — deterministically
+  /// either rolls forward (started, deltas recorded and the destination
+  /// still programmable: re-apply every delta to the master tables and
+  /// redo the payload's LidMap/alias-GUID state) or rolls back (apply the
+  /// inverse deltas and undo the payload's side effects, pricing the VF
+  /// LID/GUID and PortInfo SMPs on the batch clock). Then redistributes
+  /// master/installed diffs until convergence. No route recomputation
+  /// happens: recovery keeps the PCt-free property (§VI). Idempotent — a
+  /// second call finds nothing in flight and sends nothing.
   RecoveryReport recover(SubnetManager& sm, std::size_t max_rounds = 64,
                          SmpRouting routing = SmpRouting::kLidRouted);
 
  private:
-  /// Resolves one in-flight topology record against the current fabric.
-  void recover_topology(SubnetManager& sm, TopologyRecord& r,
-                        RecoveryReport& report, SmpRouting routing);
+  /// find() for a record that must exist and still be in flight.
+  JournalRecord& in_flight_record(std::uint64_t id);
 
-  std::vector<MigrationRecord> records_;
-  std::vector<TopologyRecord> topology_records_;
+  std::vector<JournalRecord> records_;
   std::uint64_t next_id_ = 1;
 };
 

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "core/skyline.hpp"
+#include "sm/delta_txn.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/trace.hpp"
 #include "util/expect.hpp"
@@ -36,6 +37,38 @@ struct TopologyMetrics {
 };
 
 constexpr std::uint8_t kUnreachableHops = 0xFF;
+
+/// Redistribution rounds bounding the reroute verify and the rollback
+/// settle.
+constexpr std::size_t kSettleRounds = 64;
+
+/// Appends the minimal (skyline) repair of `lid`'s column — BFS toward the
+/// LID's attachment — to `planned`, leaving out `skip` (a severed switch
+/// that cannot be programmed). Returns false when the LID has no routable
+/// attachment: an orphaned endpoint, or one attached at `skip`.
+bool plan_repair(const SubnetManager& sm,
+                 const std::vector<std::uint8_t>& hops, Lid lid,
+                 routing::SwitchIdx skip, std::vector<LftDelta>& planned) {
+  const auto& routing = sm.routing_result();
+  const auto& g = routing.graph;
+  const auto att = sm.lids().attachment(sm.fabric(), lid);
+  if (!att) return false;
+  const routing::SwitchIdx t = g.dense(att->first);
+  if (t == routing::kNoSwitch || t == skip) return false;
+  core::EntryDelta delta;
+  delta.old_entry.resize(g.num_switches());
+  for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
+    delta.old_entry[s] = routing.lfts[s].get(lid);
+  }
+  delta.new_entry = repair_route_column(g, hops, t, att->second);
+  for (const routing::SwitchIdx s :
+       core::minimal_update_set(g, delta, t, att->second)) {
+    if (s == skip) continue;
+    planned.push_back(
+        {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
+  }
+  return true;
+}
 
 }  // namespace
 
@@ -107,13 +140,13 @@ const char* to_string(TopologyTxnState state) {
   return "?";
 }
 
-TopologyTxn TopologyTxnManager::open(TopologyRecord record) {
+TopologyTxn TopologyTxnManager::open(TopologyPayload payload) {
   TopologyTxn txn;
-  txn.op = record.op;
-  txn.subject = record.subject;
-  txn.subject_lid = record.subject_lid;
-  txn.cables = record.cables;
-  txn.id = journal_.begin_topology(std::move(record));
+  txn.op = payload.op;
+  txn.subject = payload.subject;
+  txn.subject_lid = payload.subject_lid;
+  txn.cables = payload.cables;
+  txn.id = journal_.begin(std::move(payload));
   TopologyMetrics::get().begun.inc();
   return txn;
 }
@@ -151,11 +184,11 @@ TopologyTxn TopologyTxnManager::begin_attach_switch(
                           "with the subject on the A side");
     }
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kAttachSwitch;
-  record.subject = sw;
-  record.cables = std::move(cables);
-  return open(std::move(record));
+  TopologyPayload payload;
+  payload.op = TopologyOp::kAttachSwitch;
+  payload.subject = sw;
+  payload.cables = std::move(cables);
+  return open(std::move(payload));
 }
 
 TopologyTxn TopologyTxnManager::begin_detach_switch(
@@ -198,12 +231,12 @@ TopologyTxn TopologyTxnManager::begin_detach_switch(
       }
     }
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kDetachSwitch;
-  record.subject = sw;
-  record.subject_lid = fabric.node(sw).lid();
-  record.cables = std::move(cables);
-  TopologyTxn txn = open(std::move(record));
+  TopologyPayload payload;
+  payload.op = TopologyOp::kDetachSwitch;
+  payload.subject = sw;
+  payload.subject_lid = fabric.node(sw).lid();
+  payload.cables = std::move(cables);
+  TopologyTxn txn = open(std::move(payload));
   txn.allow_orphan_endpoints = allow_orphan_endpoints;
   return txn;
 }
@@ -223,10 +256,10 @@ TopologyTxn TopologyTxnManager::begin_add_link(CableSpec cable) {
                         "add_link wants two free ports on two distinct "
                         "physical switches");
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kAddLink;
-  record.cables = {cable};
-  return open(std::move(record));
+  TopologyPayload payload;
+  payload.op = TopologyOp::kAddLink;
+  payload.cables = {cable};
+  return open(std::move(payload));
 }
 
 TopologyTxn TopologyTxnManager::begin_remove_link(NodeId node, PortNum port) {
@@ -248,10 +281,10 @@ TopologyTxn TopologyTxnManager::begin_remove_link(NodeId node, PortNum port) {
                         "remove_link only removes inter-switch cables "
                         "(unplugging an endpoint is a detach concern)");
   }
-  TopologyRecord record;
-  record.op = TopologyOp::kRemoveLink;
-  record.cables = {CableSpec{node, port, peer->first, peer->second}};
-  return open(std::move(record));
+  TopologyPayload payload;
+  payload.op = TopologyOp::kRemoveLink;
+  payload.cables = {CableSpec{node, port, peer->first, peer->second}};
+  return open(std::move(payload));
 }
 
 void TopologyTxnManager::txn_mutate(TopologyTxn& txn) {
@@ -260,7 +293,7 @@ void TopologyTxnManager::txn_mutate(TopologyTxn& txn) {
   Fabric& fabric = sm_.fabric();
   // Write-ahead: the journal learns the mutation is starting before the
   // first plug/unplug, so a crash inside this loop still recovers.
-  journal_.record_topology_mutated(txn.id);
+  journal_.record_started(txn.id);
   const bool adds = txn.op == TopologyOp::kAttachSwitch ||
                     txn.op == TopologyOp::kAddLink;
   for (const CableSpec& c : txn.cables) {
@@ -305,7 +338,6 @@ void TopologyTxnManager::plan_attach(TopologyTxn& txn,
 
 void TopologyTxnManager::plan_detach(TopologyTxn& txn,
                                      std::vector<LftDelta>& planned) const {
-  const Fabric& fabric = sm_.fabric();
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
   const routing::SwitchIdx me = g.dense(txn.subject);
@@ -329,27 +361,7 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
   }
   txn.stats.lids_rerouted = affected.size();
 
-  for (const Lid lid : affected) {
-    const auto att = sm_.lids().attachment(fabric, lid);
-    // An owner that detached together with the subject (orphaned endpoint)
-    // has nowhere to be delivered; the checker skips it and so do we.
-    if (!att) continue;
-    const routing::SwitchIdx t = g.dense(att->first);
-    if (t == routing::kNoSwitch || t == me) continue;
-    core::EntryDelta delta;
-    delta.old_entry.resize(g.num_switches());
-    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-      delta.old_entry[s] = routing.lfts[s].get(lid);
-    }
-    delta.new_entry = repair_route_column(g, hops, t, att->second);
-    const std::vector<routing::SwitchIdx> repair =
-        core::minimal_update_set(g, delta, t, att->second);
-    for (const routing::SwitchIdx s : repair) {
-      if (s == me) continue;  // severed: cannot be programmed
-      planned.push_back(
-          {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
-    }
-  }
+  for (const Lid lid : affected) plan_repair(sm_, hops, lid, me, planned);
 
   // Scrub the released management LID everywhere so a later reassignment of
   // the same value cannot inherit routes into the severed switch.
@@ -368,7 +380,6 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
 
 void TopologyTxnManager::plan_remove_link(
     TopologyTxn& txn, std::vector<LftDelta>& planned) const {
-  const Fabric& fabric = sm_.fabric();
   const auto& routing = sm_.routing_result();
   const auto& g = routing.graph;
   const CableSpec& cable = txn.cables.front();
@@ -381,64 +392,11 @@ void TopologyTxnManager::plan_remove_link(
   for (const Lid lid : sm_.lids().assigned_lids()) {
     const bool uses_link = routing.lfts[sa].get(lid) == cable.port_a ||
                            routing.lfts[sb].get(lid) == cable.port_b;
-    if (!uses_link) continue;
-    const auto att = sm_.lids().attachment(fabric, lid);
-    if (!att) continue;
-    const routing::SwitchIdx t = g.dense(att->first);
-    if (t == routing::kNoSwitch) continue;
-    core::EntryDelta delta;
-    delta.old_entry.resize(g.num_switches());
-    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
-      delta.old_entry[s] = routing.lfts[s].get(lid);
-    }
-    delta.new_entry = repair_route_column(g, hops, t, att->second);
-    const std::vector<routing::SwitchIdx> repair =
-        core::minimal_update_set(g, delta, t, att->second);
-    for (const routing::SwitchIdx s : repair) {
-      planned.push_back(
-          {g.switches[s], lid, delta.old_entry[s], delta.new_entry[s]});
-    }
-    ++txn.stats.lids_rerouted;
-  }
-}
-
-void TopologyTxnManager::apply_planned(TopologyTxn& txn,
-                                       const std::vector<LftDelta>& planned,
-                                       const TopologyApplyOptions& opts) {
-  const auto& routing = sm_.routing_result();
-  const auto& g = routing.graph;
-  auto& transport = sm_.transport();
-  const Fabric& fabric = sm_.fabric();
-  transport.begin_batch();
-  std::size_t i = 0;
-  while (i < planned.size()) {
-    const NodeId sw = planned[i].switch_node;
-    const routing::SwitchIdx s = g.dense(sw);
-    IBVS_ENSURE(s != routing::kNoSwitch, "planned delta for unknown switch");
-    if (!transport.hops_to(sw)) {
-      txn.stats.apply_time_us += transport.end_batch();
-      throw TopologyError(TopologyErrc::kRerouteFailed,
-                          fabric.node(sw).name +
-                              " unreachable during topology delta");
-    }
-    for (; i < planned.size() && planned[i].switch_node == sw; ++i) {
-      // Capture the value actually in place right before the write so
-      // rollback restores the exact prior bytes.
-      txn.applied.push_back({sw, planned[i].lid,
-                             routing.lfts[s].get(planned[i].lid),
-                             planned[i].new_port});
-      sm_.update_master_entry(s, planned[i].lid, planned[i].new_port);
-    }
-    txn.stats.lft_smps += sm_.push_dirty_blocks(s, opts.routing);
-    ++txn.stats.switches_updated;
-    if (txn.stats.lft_smps + txn.stats.addressing_smps >=
-        opts.abort_after_smps) {
-      txn.stats.apply_time_us += transport.end_batch();
-      throw TopologyError(TopologyErrc::kInterrupted,
-                          "topology delta batch cut short");
+    if (uses_link &&
+        plan_repair(sm_, hops, lid, routing::kNoSwitch, planned)) {
+      ++txn.stats.lids_rerouted;
     }
   }
-  txn.stats.apply_time_us += transport.end_batch();
 }
 
 void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
@@ -466,7 +424,6 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
     const Lid lid = sm_.lids().assign_next(fabric, txn.subject, 0);
     journal_.record_topology_lid(txn.id, lid);
     txn.subject_lid = lid;
-    txn.lid_assigned = true;
     sm_.refresh_targets();
     transport.begin_batch();
     transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
@@ -492,7 +449,6 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
     if (txn.op == TopologyOp::kDetachSwitch && txn.subject_lid.valid() &&
         sm_.lids().owner(txn.subject_lid).node == txn.subject) {
       sm_.lids().release(fabric, txn.subject_lid);
-      txn.lid_released = true;
       sm_.refresh_targets();
     }
   }
@@ -534,13 +490,28 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
                      });
     // Write-ahead: the full planned delta set reaches the journal before
     // the first LFT SMP goes out.
-    journal_.record_topology_deltas(txn.id, planned);
-    apply_planned(txn, planned, opts);
+    journal_.record_deltas(txn.id, planned);
+    const ApplyResult applied = apply_deltas(
+        sm_, planned, txn.applied, SmpRouting::kDirected,
+        /*require_reachable=*/true, opts.abort_after_smps,
+        txn.stats.lft_smps + txn.stats.addressing_smps);
+    txn.stats.lft_smps += applied.cost.smps;
+    txn.stats.apply_time_us += applied.cost.time_us;
+    txn.stats.switches_updated += applied.switches;
+    if (applied.stop == ApplyStop::kUnreachable) {
+      throw TopologyError(TopologyErrc::kRerouteFailed,
+                          fabric.node(applied.at).name +
+                              " unreachable during topology delta");
+    }
+    if (applied.stop == ApplyStop::kAborted) {
+      throw TopologyError(TopologyErrc::kInterrupted,
+                          "topology delta batch cut short");
+    }
   }
 
   // Verify: diff-redistribution until a zero-send round proves every
   // reachable switch holds exactly the master tables.
-  txn.stats.verify = sm_.redistribute(opts.max_rounds, opts.routing);
+  txn.stats.verify = sm_.redistribute(kSettleRounds, SmpRouting::kDirected);
   if (!txn.stats.verify.converged) {
     throw TopologyError(TopologyErrc::kRerouteFailed,
                         "delta redistribution did not converge");
@@ -555,10 +526,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
 void TopologyTxnManager::txn_commit(TopologyTxn& txn) {
   IBVS_REQUIRE(txn.state == TopologyTxnState::kRerouted,
                "reroute before committing");
-  journal_.commit_topology(txn.id);
-  if (auto* record = journal_.find_topology(txn.id)) {
-    record->reconciled = true;
-  }
+  journal_.commit(txn.id);
   txn.state = TopologyTxnState::kCommitted;
   auto& metrics = TopologyMetrics::get();
   metrics.committed.inc();
@@ -572,84 +540,37 @@ void TopologyTxnManager::txn_commit(TopologyTxn& txn) {
 }
 
 void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
-  IBVS_REQUIRE(!txn.terminal(), "transaction already terminal");
-  Fabric& fabric = sm_.fabric();
-  auto& transport = sm_.transport();
-  const auto& routing = sm_.routing_result();
-  const auto& g = routing.graph;
-  const routing::SwitchIdx me =
-      txn.subject != kInvalidNode ? g.dense(txn.subject) : routing::kNoSwitch;
+  const JournalRecord* record = journal_.find(txn.id);
+  IBVS_REQUIRE(!txn.terminal() && record != nullptr,
+               "transaction already terminal");
+  const TopologyPayload& delta = *record->topology();
 
-  // Inverse deltas newest-first: undoing in reverse restores the exact
-  // pre-transaction master bytes.
-  if (!txn.applied.empty()) {
-    std::vector<routing::SwitchIdx> touched;
-    for (auto it = txn.applied.rbegin(); it != txn.applied.rend(); ++it) {
-      const routing::SwitchIdx s = g.dense(it->switch_node);
-      if (s == routing::kNoSwitch) continue;
-      sm_.update_master_entry(s, it->lid, it->old_port);
-      if (std::find(touched.begin(), touched.end(), s) == touched.end()) {
-        touched.push_back(s);
-      }
-    }
-    transport.begin_batch();
-    for (const routing::SwitchIdx s : touched) {
-      // The attach subject is about to be unplugged again: restore its
-      // master entries but waste no SMPs programming it.
-      if (s == me && txn.op == TopologyOp::kAttachSwitch) continue;
-      if (!transport.hops_to(g.switches[s])) continue;
-      txn.rollback_smps += sm_.push_dirty_blocks(s, SmpRouting::kDirected);
-    }
-    txn.rollback_time_us += transport.end_batch();
-  }
+  // Inverse deltas newest-first restore the exact pre-transaction master
+  // bytes. The attach subject is about to be unplugged again: restore its
+  // master entries but waste no SMPs programming it.
+  const SmpCost lfts = revert_deltas(
+      sm_, txn.applied, SmpRouting::kDirected, /*skip_unreachable=*/true,
+      delta.op == TopologyOp::kAttachSwitch ? delta.subject : kInvalidNode);
+  txn.rollback_smps += lfts.smps;
+  txn.rollback_time_us += lfts.time_us;
 
-  // Un-mutate the cabling (reverse chronological order: the mutation
-  // happened before the apply). Tolerate cables a crash or a chaos event
-  // already changed.
-  if (txn.state == TopologyTxnState::kMutated ||
-      txn.state == TopologyTxnState::kRerouted) {
-    const bool added = txn.op == TopologyOp::kAttachSwitch ||
-                       txn.op == TopologyOp::kAddLink;
-    for (const CableSpec& c : txn.cables) {
-      if (added) {
-        const auto peer = fabric.peer(c.a, c.port_a);
-        if (peer && peer->first == c.b && peer->second == c.port_b) {
-          fabric.disconnect(c.a, c.port_a);
-        }
-      } else if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
-        fabric.connect(c.a, c.port_a, c.b, c.port_b);
-      }
-    }
+  // Un-mutate the cabling and restore the subject's addressing (reverse
+  // chronological order: the mutation happened before the apply).
+  if (record->started) {
+    const SmpCost addressing = undo_cabling(sm_, delta);
+    txn.rollback_smps += addressing.smps;
+    txn.rollback_time_us += addressing.time_us;
     sm_.adopt_topology_change();
-  }
-
-  // Restore the subject's addressing.
-  if (txn.lid_assigned && txn.subject_lid.valid() &&
-      sm_.lids().owner(txn.subject_lid).node == txn.subject) {
-    sm_.lids().release(fabric, txn.subject_lid);
-    sm_.refresh_targets();
-  }
-  if (txn.lid_released && txn.subject_lid.valid() &&
-      !sm_.lids().assigned(txn.subject_lid)) {
-    sm_.lids().assign(fabric, txn.subject, 0, txn.subject_lid);
-    sm_.refresh_targets();
-    transport.begin_batch();
-    transport.send_port_info_set(txn.subject, 0, SmpRouting::kDirected);
-    txn.rollback_smps += 1;
-    txn.rollback_time_us += transport.end_batch();
   }
 
   // Settle any master/installed disagreement left by aborted pushes (and
   // give a re-plugged subject its cold resync) — still PCt-free.
-  const auto settle = sm_.redistribute(64, SmpRouting::kDirected);
+  const auto settle = sm_.redistribute(kSettleRounds, SmpRouting::kDirected);
   txn.rollback_smps += settle.smps;
   txn.rollback_time_us += settle.time_us;
   sm_.bump_generation();
 
-  journal_.roll_back_topology(txn.id);
-  if (auto* record = journal_.find_topology(txn.id)) {
-    record->reconciled = true;
-  }
+  journal_.roll_back(txn.id);
   txn.state = TopologyTxnState::kRolledBack;
   TopologyMetrics::get().rolled_back.inc();
   IBVS_INFO("topology") << to_string(txn.op) << " rolled back: "

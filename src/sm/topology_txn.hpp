@@ -3,7 +3,8 @@
 // The paper's vSwitch architecture reconfigures a *fixed* fabric; production
 // fabrics add and drain switches and links while tenants keep running. This
 // manager makes those structural changes first-class reconfiguration
-// transactions in the MigrationTxn state-machine style:
+// transactions in the MigrationTxn state-machine style, planners feeding
+// the shared delta-transaction core (sm/delta_txn):
 //
 //   begin_*      — validate the delta and open a write-ahead journal record
 //                  (subject, exact cable endpoints, the LID at stake),
@@ -13,8 +14,8 @@
 //                  (append-stable dense indices, empty master tables for new
 //                  switches), plan the minimal per-LID repair via BFS columns
 //                  + skyline minimal_update_set, journal the full delta set,
-//                  then apply switch by switch through push_dirty_blocks and
-//                  verify with a redistribute loop until a zero-send round,
+//                  then apply it through the core's apply loop and verify
+//                  with a redistribute loop until a zero-send round,
 //   txn_commit   — mark the journal record terminal, or
 //   txn_rollback — replay inverse deltas newest-first, un-plug / re-plug the
 //                  exact recorded cables and restore the subject's LID for a
@@ -95,8 +96,6 @@ struct TopologyTxn {
   std::vector<CableSpec> cables;
   bool allow_orphan_endpoints = false;
   TopologyTxnState state = TopologyTxnState::kPrepared;
-  bool lid_assigned = false;  ///< attach assigned subject_lid in reroute
-  bool lid_released = false;  ///< detach released subject_lid in reroute
   std::vector<LftDelta> applied;
   TopologyTxnStats stats;
   std::uint64_t rollback_smps = 0;
@@ -112,8 +111,6 @@ struct TopologyApplyOptions {
   /// Abort (throw kInterrupted) once this many SMPs went out — the chaos
   /// harness uses it to simulate a master death mid-delta.
   std::uint64_t abort_after_smps = std::numeric_limits<std::uint64_t>::max();
-  std::size_t max_rounds = 64;  ///< verification redistribute bound
-  SmpRouting routing = SmpRouting::kDirected;
 };
 
 /// BFS-column helpers shared by the transaction planner and the journal's
@@ -172,14 +169,12 @@ class TopologyTxnManager {
                           const TopologyApplyOptions& opts = {});
 
  private:
-  TopologyTxn open(TopologyRecord record);
+  TopologyTxn open(TopologyPayload payload);
   void run(TopologyTxn& txn, const TopologyApplyOptions& opts);
   void plan_attach(TopologyTxn& txn, std::vector<LftDelta>& planned) const;
   void plan_detach(TopologyTxn& txn, std::vector<LftDelta>& planned) const;
   void plan_remove_link(TopologyTxn& txn,
                         std::vector<LftDelta>& planned) const;
-  void apply_planned(TopologyTxn& txn, const std::vector<LftDelta>& planned,
-                     const TopologyApplyOptions& opts);
 
   SubnetManager& sm_;
   ReconfigJournal& journal_;

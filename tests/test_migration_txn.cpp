@@ -59,45 +59,49 @@ auto engine_factory() {
 
 TEST(ReconfigJournal, RecordLifecycleAndTruncation) {
   sm::ReconfigJournal journal;
-  sm::MigrationRecord record;
-  record.vm_id = 7;
-  record.vm_lid = Lid{10};
-  record.src_vf = 1;
-  record.dst_vf = 2;
-  const auto id = journal.begin(std::move(record));
+  sm::MigrationPayload payload;
+  payload.vm_id = 7;
+  payload.vm_lid = Lid{10};
+  payload.src_vf = 1;
+  payload.dst_vf = 2;
+  const auto id = journal.begin(std::move(payload));
   EXPECT_EQ(journal.in_flight(), 1u);
   ASSERT_NE(journal.find(id), nullptr);
   EXPECT_EQ(journal.find(id)->state, sm::RecordState::kInFlight);
-  EXPECT_FALSE(journal.find(id)->addresses_moved);
+  ASSERT_NE(journal.find(id)->migration(), nullptr);
+  EXPECT_EQ(journal.find(id)->migration()->vm_id, 7u);
+  EXPECT_FALSE(journal.find(id)->started);
 
-  journal.record_addresses_moved(id);
-  EXPECT_TRUE(journal.find(id)->addresses_moved);
+  journal.record_started(id);
+  EXPECT_TRUE(journal.find(id)->started);
 
   journal.record_deltas(
       id, {{.switch_node = 3, .lid = Lid{5}, .old_port = 1, .new_port = 2}});
   ASSERT_EQ(journal.find(id)->deltas.size(), 1u);
+  // Truncation never drops a record still in flight.
+  EXPECT_EQ(journal.truncate_reconciled(), 0u);
 
   journal.commit(id);
   EXPECT_EQ(journal.in_flight(), 0u);
   EXPECT_EQ(journal.find(id)->state, sm::RecordState::kCommitted);
 
-  // Truncation only drops records the vSwitch layer has reconciled.
-  EXPECT_EQ(journal.truncate_reconciled(), 0u);
-  journal.find(id)->reconciled = true;
+  // A commit on the transaction path is its own reconciliation.
+  EXPECT_TRUE(journal.find(id)->reconciled);
   EXPECT_EQ(journal.truncate_reconciled(), 1u);
   EXPECT_EQ(journal.find(id), nullptr);
 }
 
 TEST(ReconfigJournal, RollBackMarksTerminal) {
   sm::ReconfigJournal journal;
-  sm::MigrationRecord record;
-  record.vm_lid = Lid{11};
-  record.src_vf = 1;
-  record.dst_vf = 2;
-  const auto id = journal.begin(std::move(record));
+  sm::MigrationPayload payload;
+  payload.vm_lid = Lid{11};
+  payload.src_vf = 1;
+  payload.dst_vf = 2;
+  const auto id = journal.begin(std::move(payload));
   journal.roll_back(id);
   EXPECT_EQ(journal.in_flight(), 0u);
   EXPECT_EQ(journal.find(id)->state, sm::RecordState::kRolledBack);
+  EXPECT_TRUE(journal.find(id)->reconciled);
 }
 
 TEST(ReconfigJournal, DeltaInverseRoundTrips) {

@@ -77,31 +77,33 @@ struct Txns {
 
 TEST(TopologyRecord, LifecycleAndTruncation) {
   sm::ReconfigJournal journal;
-  sm::TopologyRecord record;
-  record.op = sm::TopologyOp::kDetachSwitch;
-  record.subject = 5;
-  record.subject_lid = Lid{9};
-  record.cables = {{5, 1, 6, 2}};
-  const auto id = journal.begin_topology(std::move(record));
+  const auto id = journal.begin(
+      sm::TopologyPayload{.op = sm::TopologyOp::kDetachSwitch,
+                          .subject = 5,
+                          .subject_lid = Lid{9},
+                          .cables = {{5, 1, 6, 2}}});
   EXPECT_EQ(journal.in_flight(), 1u);
-  ASSERT_NE(journal.find_topology(id), nullptr);
-  EXPECT_EQ(journal.find_topology(id)->state, sm::RecordState::kInFlight);
-  EXPECT_FALSE(journal.find_topology(id)->mutated);
+  ASSERT_NE(journal.find(id), nullptr);
+  EXPECT_EQ(journal.find(id)->state, sm::RecordState::kInFlight);
+  ASSERT_NE(journal.find(id)->topology(), nullptr);
+  EXPECT_EQ(journal.find(id)->migration(), nullptr);
+  EXPECT_FALSE(journal.find(id)->started);
 
-  journal.record_topology_mutated(id);
-  EXPECT_TRUE(journal.find_topology(id)->mutated);
-  journal.record_topology_deltas(
+  journal.record_started(id);
+  EXPECT_TRUE(journal.find(id)->started);
+  journal.record_deltas(
       id, {{.switch_node = 6, .lid = Lid{9}, .old_port = 2, .new_port = 0}});
-  ASSERT_EQ(journal.find_topology(id)->deltas.size(), 1u);
-
-  journal.commit_topology(id);
-  EXPECT_EQ(journal.in_flight(), 0u);
-  EXPECT_EQ(journal.find_topology(id)->state, sm::RecordState::kCommitted);
-
+  ASSERT_EQ(journal.find(id)->deltas.size(), 1u);
   EXPECT_EQ(journal.truncate_reconciled(), 0u);
-  journal.find_topology(id)->reconciled = true;
+
+  journal.commit(id);
+  EXPECT_EQ(journal.in_flight(), 0u);
+  EXPECT_EQ(journal.find(id)->state, sm::RecordState::kCommitted);
+
+  EXPECT_EQ(journal.topology_records().size(), 1u);
+  EXPECT_TRUE(journal.records().empty());
   EXPECT_EQ(journal.truncate_reconciled(), 1u);
-  EXPECT_EQ(journal.find_topology(id), nullptr);
+  EXPECT_EQ(journal.find(id), nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -201,7 +203,6 @@ TEST(TopologyTxn, DetachEmptyLeafCommitsAndReleasesLid) {
 
   const auto txn = t.topo.detach_switch(leaf);
   EXPECT_EQ(txn.state, sm::TopologyTxnState::kCommitted);
-  EXPECT_TRUE(txn.lid_released);
   EXPECT_FALSE(t.s.sm->lids().assigned(leaf_lid));
   EXPECT_TRUE(t.s.fabric.cables_of(leaf).empty());
   EXPECT_GT(txn.stats.lft_smps, 0u);
@@ -267,8 +268,8 @@ TEST(TopologyTxn, RollbackIsByteIdentical) {
   EXPECT_FALSE(t.s.sm->lids().assigned(txn.subject_lid));
   EXPECT_EQ(t.s.sm->lids().top_lid(), top_lid_before);
   EXPECT_EQ(t.s.vsf->journal().in_flight(), 0u);
-  ASSERT_NE(t.s.vsf->journal().find_topology(txn.id), nullptr);
-  EXPECT_EQ(t.s.vsf->journal().find_topology(txn.id)->state,
+  ASSERT_NE(t.s.vsf->journal().find(txn.id), nullptr);
+  EXPECT_EQ(t.s.vsf->journal().find(txn.id)->state,
             sm::RecordState::kRolledBack);
 
   // Every pre-existing switch's installed table is back to the exact
