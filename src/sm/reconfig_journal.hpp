@@ -133,8 +133,9 @@ struct RecoveryReport {
   std::size_t in_flight = 0;       ///< records that needed a decision
   std::size_t rolled_forward = 0;  ///< replayed to completion
   std::size_t rolled_back = 0;     ///< undone via inverse deltas
-  std::uint64_t address_smps = 0;  ///< VF LID/GUID SMPs sent restoring
-  double address_time_us = 0.0;    ///< batch makespan of those restores
+  /// VF LID/GUID and PortInfo SMPs the payloads' undo and redo sent.
+  std::uint64_t address_smps = 0;
+  double address_time_us = 0.0;  ///< batch makespan of those SMPs
   SubnetManager::ReconvergeReport redistribution;
 };
 
@@ -161,8 +162,9 @@ class ReconfigJournal {
 
   [[nodiscard]] JournalRecord* find(std::uint64_t id);
   [[nodiscard]] const JournalRecord* find(std::uint64_t id) const;
-  /// The migration records and the topology records, each in journal
-  /// order. The pointers stay valid until the next begin or truncation.
+  /// records() lists the migration records, topology_records() the
+  /// topology records, each in journal order. The pointers stay valid
+  /// until the next begin or truncate_reconciled.
   [[nodiscard]] std::vector<const JournalRecord*> records() const;
   [[nodiscard]] std::vector<const JournalRecord*> topology_records() const;
   [[nodiscard]] std::size_t in_flight() const;
