@@ -149,19 +149,20 @@ class CloudOrchestrator {
                               const core::MigrationOptions& options = {},
                               const TxnPolicy& policy = {});
 
-  /// Predicts which physical switches a migration would update, from the
-  /// SM's master tables, without executing anything. In kDeterministic mode
-  /// this is the changed-entries set; in kMinimal mode the §VI-D skyline
-  /// set (one leaf for an intra-leaf move).
-  std::vector<routing::SwitchIdx> predict_update_set(
+  /// Predicts a migration's update plan from the SM's master tables,
+  /// without executing anything: core::plan_update_set with the
+  /// hypervisors' attachments, so `update_set` is the set txn_apply_lfts
+  /// will write — the changed-entries set in kDeterministic mode, the
+  /// §VI-D skyline union in kMinimal mode (one leaf for an intra-leaf move).
+  core::UpdatePlan predict_update_set(
       core::VmHandle vm, std::size_t dst_hypervisor,
       core::ReconfigMode mode = core::ReconfigMode::kDeterministic) const;
 
-  /// Predicted update set of a destination swap between two live VMs: the
-  /// switches where the two VM LIDs' entries differ (identical for both
-  /// LIDs — the swap is symmetric), or the union of the two per-LID
-  /// skyline sets in kMinimal mode.
-  std::vector<routing::SwitchIdx> predict_swap_update_set(
+  /// Predicted plan of a destination swap between two live VMs: each LID
+  /// takes the other's entries (both change on the same switches in
+  /// kDeterministic mode; the two per-LID skyline sets unioned in
+  /// kMinimal mode).
+  core::UpdatePlan predict_swap_update_set(
       core::VmHandle vm_a, core::VmHandle vm_b,
       core::ReconfigMode mode = core::ReconfigMode::kDeterministic) const;
 
@@ -180,21 +181,6 @@ class CloudOrchestrator {
   };
   PlanExecution execute(const ParallelPlan& plan,
                         const core::MigrationOptions& options = {});
-
-  /// Transactional plan execution: each member runs under migrate_txn, so
-  /// one failed member rolls back (or re-places) alone while the rest of
-  /// its round proceeds.
-  struct TxnPlanExecution {
-    double elapsed_s = 0.0;
-    double serial_s = 0.0;
-    std::size_t committed = 0;
-    std::size_t rolled_back = 0;
-    std::size_t failed = 0;
-    std::vector<MigrationTxnReport> reports;
-  };
-  TxnPlanExecution execute_txn(const ParallelPlan& plan,
-                               const core::MigrationOptions& options = {},
-                               const TxnPolicy& policy = {});
 
   [[nodiscard]] const FlowTiming& timing() const noexcept { return timing_; }
 
@@ -298,6 +284,15 @@ class CloudOrchestrator {
   /// with a free VF that is neither the VM's source nor already tried.
   [[nodiscard]] std::optional<std::size_t> pick_fallback(
       core::VmHandle vm, const std::vector<std::size_t>& exclude) const;
+  /// The one attempt loop behind migrate_txn and swap_txn. `begin` opens
+  /// an attempt's transaction toward `dst`; `replace` is the VM to re-place
+  /// on a fallback destination after a destination-side failure (invalid:
+  /// retry the same transaction). Budget, attach check and report fields
+  /// follow from the transaction itself.
+  MigrationTxnReport run_attempts(
+      const char* span_name, std::size_t dst, const TxnPolicy& policy,
+      core::VmHandle replace,
+      const std::function<core::MigrationTxn(std::size_t)>& begin);
 
   core::VSwitchFabric& fabric_;
   Placement placement_;

@@ -322,29 +322,16 @@ std::vector<MigrationPlanner::RawMove> MigrationPlanner::moves_for(
 }
 
 void MigrationPlanner::annotate(std::vector<PlannedMove>& moves) const {
-  const auto& fabric = cloud_->fabric();
-  const auto& sm = fabric.subnet_manager();
-  const auto& hyps = fabric.hypervisors();
   for (PlannedMove& m : moves) {
-    std::vector<Lid> lids{fabric.vm(m.vm).lid};
-    if (m.is_swap()) {
-      m.update_set = cloud_->predict_swap_update_set(m.vm, m.swap_with,
-                                                     options_.mode);
-      lids.push_back(fabric.vm(m.swap_with).lid);
-    } else {
-      m.update_set = cloud_->predict_update_set(m.vm, m.dst_hypervisor,
-                                                options_.mode);
-      if (fabric.scheme() == core::LidScheme::kPrepopulated) {
-        // The destination VF's prepopulated LID swaps back to the source —
-        // its entries change on the same switches.
-        const auto vf = fabric.free_vf_on(m.dst_hypervisor);
-        if (vf) {
-          lids.push_back(
-              sm.fabric().node(hyps[m.dst_hypervisor].vfs[*vf]).lid());
-        }
-      }
-    }
-    std::sort(m.update_set.begin(), m.update_set.end());
+    // The plan names the LIDs it writes: the VM's, plus the peer's on a
+    // swap or the destination VF's that swaps back when prepopulated.
+    core::UpdatePlan plan =
+        m.is_swap()
+            ? cloud_->predict_swap_update_set(m.vm, m.swap_with, options_.mode)
+            : cloud_->predict_update_set(m.vm, m.dst_hypervisor,
+                                         options_.mode);
+    const std::vector<Lid> lids = plan.lids();
+    m.update_set = std::move(plan.update_set);
     m.update_keys.reserve(m.update_set.size() * lids.size());
     for (const auto s : m.update_set) {
       for (const Lid lid : lids) m.update_keys.push_back(write_unit(s, lid));

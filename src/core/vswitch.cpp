@@ -462,120 +462,47 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
                    record->started,
                "move the addresses before applying LFTs");
   Fabric& fabric = sm_->fabric();
-  const Lid vm_lid = txn.vm_lid;
-  const Lid swapped_lid = txn.swapped_lid;
-
-  // ---- Step (b): update the LFTs (§V-C b). ----
   const auto& routing = sm_->routing_result();
-  const std::size_t s_count = routing.graph.num_switches();
-  txn.stats.switches_total = s_count;
+  txn.stats.switches_total = routing.graph.num_switches();
 
-  // Plan the new entries. Two LIDs participate whenever swapped_lid is
-  // valid: a prepopulated migration (the destination VF's LID swaps back)
-  // or a destination swap in either scheme (the peer VM's LID). The fused
-  // delta set lets each switch push its dirty blocks once for both LIDs —
-  // 1 SMP when they share a 64-entry block — which is the entire SMP
-  // advantage of a swap over two copies.
-  const bool use_swap = swapped_lid.valid();
-  last_delta_ = EntryDelta{};
-  last_delta_.old_entry.resize(s_count);
-  last_delta_.new_entry.resize(s_count);
-  EntryDelta swap_delta;  // for the swapped LID
+  // ---- Step (b): update the LFTs (§V-C b). Two LIDs participate whenever
+  // swapped_lid is valid: a prepopulated migration (the destination VF's
+  // LID swaps back) or a destination swap in either scheme (the peer VM's
+  // LID); a dynamic copy takes the destination PF's entries. The minimal
+  // set is always sized, for reporting. ----
+  const bool use_swap = txn.swapped_lid.valid();
+  const auto vm_at = sm_->lids().attachment(fabric, txn.vm_lid);
+  IBVS_ENSURE(vm_at.has_value(), "migrated VM is not attached");
+  UpdateRequest request{.vm_lid = txn.vm_lid,
+                        .takes_from = use_swap ? txn.swapped_lid
+                                               : pf_lid(txn.dst_hypervisor),
+                        .swap_back = use_swap,
+                        .vm_at = *vm_at,
+                        .measure_minimal = true};
   if (use_swap) {
-    swap_delta.old_entry.resize(s_count);
-    swap_delta.new_entry.resize(s_count);
+    const auto back_at = sm_->lids().attachment(fabric, txn.swapped_lid);
+    IBVS_ENSURE(back_at.has_value(), "swapped VF LID is not attached");
+    request.back_at = *back_at;
   }
-  const Lid dst_pf = pf_lid(txn.dst_hypervisor);
-  for (routing::SwitchIdx s = 0; s < s_count; ++s) {
-    const PortNum p_vm = routing.lfts[s].get(vm_lid);
-    last_delta_.old_entry[s] = p_vm;
-    if (use_swap) {
-      // Swap: the VM LID takes the second LID's path and vice versa,
-      // preserving the balancing of the initial routing.
-      const PortNum p_vf = routing.lfts[s].get(swapped_lid);
-      last_delta_.new_entry[s] = p_vf;
-      swap_delta.old_entry[s] = p_vf;
-      swap_delta.new_entry[s] = p_vm;
-    } else {
-      // Copy: the VM LID follows the destination hypervisor's PF.
-      last_delta_.new_entry[s] = routing.lfts[s].get(dst_pf);
-    }
-  }
-
-  // The §VI-D minimal (skyline) sets, always computed for reporting. Each
-  // LID gets its *own* set: a minimal set is a fixpoint of "updated
-  // switches use new entries, the rest keep old ones" for that LID —
-  // applying one LID's new entries outside its own set would create
-  // old/new hybrids the fixpoint never validated (and can loop).
-  const auto vm_attach = sm_->lids().attachment(fabric, vm_lid);
-  IBVS_ENSURE(vm_attach.has_value(), "migrated VM is not attached");
-  const std::vector<routing::SwitchIdx> minimal_vm = minimal_update_set(
-      routing.graph, last_delta_, routing.graph.dense(vm_attach->first),
-      vm_attach->second);
-  std::vector<routing::SwitchIdx> minimal_vf;
-  if (use_swap) {
-    const auto vf_attach = sm_->lids().attachment(fabric, swapped_lid);
-    IBVS_ENSURE(vf_attach.has_value(), "swapped VF LID is not attached");
-    minimal_vf = minimal_update_set(
-        routing.graph, swap_delta, routing.graph.dense(vf_attach->first),
-        vf_attach->second);
-  }
-  std::vector<routing::SwitchIdx> minimal_union;
-  std::set_union(minimal_vm.begin(), minimal_vm.end(), minimal_vf.begin(),
-                 minimal_vf.end(), std::back_inserter(minimal_union));
-  txn.minimal_set_size = minimal_union.size();
-
-  // Select the per-LID update sets.
-  std::vector<routing::SwitchIdx> vm_set;
-  std::vector<routing::SwitchIdx> vf_set;
-  if (txn.options.mode == ReconfigMode::kMinimal) {
-    vm_set = minimal_vm;
-    vf_set = minimal_vf;
-  } else {
-    // Algorithm 1: everywhere the entries change. For the swap both LIDs
-    // change on exactly the same switches (entries differ symmetrically).
-    for (routing::SwitchIdx s = 0; s < s_count; ++s) {
-      if (last_delta_.old_entry[s] != last_delta_.new_entry[s]) {
-        vm_set.push_back(s);
-      }
-    }
-    if (use_swap) vf_set = vm_set;
-  }
-  std::vector<routing::SwitchIdx> update_set;
-  std::set_union(vm_set.begin(), vm_set.end(), vf_set.begin(), vf_set.end(),
-                 std::back_inserter(update_set));
-  std::vector<bool> in_vm_set(s_count, false);
-  std::vector<bool> in_vf_set(s_count, false);
-  for (routing::SwitchIdx s : vm_set) in_vm_set[s] = true;
-  for (routing::SwitchIdx s : vf_set) in_vf_set[s] = true;
+  const UpdatePlan plan =
+      plan_update_set(routing, request, txn.options.mode);
+  txn.minimal_set_size = plan.minimal_set_size;
 
   // Write-ahead: the full planned delta set (both LIDs, logical old -> new,
   // keyed by durable NodeId) reaches the journal before the first drain or
   // swap/copy SMP goes out.
-  std::vector<sm::LftDelta> planned;
-  planned.reserve(update_set.size() * 2);
-  for (routing::SwitchIdx s : update_set) {
-    const NodeId sw = routing.graph.switches[s];
-    if (in_vm_set[s]) {
-      planned.push_back(
-          {sw, vm_lid, last_delta_.old_entry[s], last_delta_.new_entry[s]});
-    }
-    if (in_vf_set[s]) {
-      planned.push_back(
-          {sw, swapped_lid, swap_delta.old_entry[s], swap_delta.new_entry[s]});
-    }
-  }
-  journal_.record_deltas(txn.id, planned);
+  journal_.record_deltas(txn.id, plan.deltas);
 
   // Optional drain pass (§VI-C): drop traffic for the VM LID on every
   // switch about to change, one SMP each, before the real update.
-  if (txn.options.drain_first && !vm_set.empty()) {
+  if (txn.options.drain_first && !plan.vm_set.empty()) {
     VSwitchMetrics::get().drain_passes.inc();
     std::vector<sm::LftDelta> drain;
-    drain.reserve(vm_set.size());
-    for (routing::SwitchIdx s : vm_set) {
-      drain.push_back({routing.graph.switches[s], vm_lid,
-                       last_delta_.old_entry[s], kDropPort});
+    drain.reserve(plan.vm_set.size());
+    for (const sm::LftDelta& d : plan.deltas) {
+      if (d.lid == txn.vm_lid) {
+        drain.push_back({d.switch_node, d.lid, d.old_port, kDropPort});
+      }
     }
     const sm::ApplyResult drained = sm::apply_deltas(
         *sm_, drain, txn.applied, txn.options.smp_routing,
@@ -592,13 +519,13 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
   // before each write (kDropPort on drained switches), so rollback can
   // restore the exact prior bytes by replaying inverses in reverse.
   const sm::ApplyResult updated = sm::apply_deltas(
-      *sm_, planned, txn.applied, txn.options.smp_routing,
+      *sm_, plan.deltas, txn.applied, txn.options.smp_routing,
       apply.require_reachable, apply.abort_after_smps,
       txn.stats.drain_smps + txn.stats.lft_smps);
   txn.stats.lft_smps += updated.cost.smps;
   txn.stats.lft_time_us += updated.cost.time_us;
   throw_if_stopped(fabric, updated, "during reconfiguration");
-  txn.stats.switches_updated = update_set.size();
+  txn.stats.switches_updated = plan.update_set.size();
   sm_->bump_generation();
 
   auto& metrics = VSwitchMetrics::get();

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "core/errors.hpp"
-#include "core/skyline.hpp"
+#include "core/update_set.hpp"
 #include "core/virtualizer.hpp"
 #include "sm/reconfig_journal.hpp"
 #include "sm/subnet_manager.hpp"
@@ -39,17 +39,6 @@ struct MigrationTxn;  // core/migration_txn.hpp
 enum class LidScheme { kPrepopulated, kDynamic };
 
 [[nodiscard]] std::string to_string(LidScheme scheme);
-
-/// How step (b) picks the switches to update.
-enum class ReconfigMode {
-  /// Algorithm 1: iterate all switches, update where entries change.
-  /// Preserves the initial balancing.
-  kDeterministic,
-  /// §VI-D: update only a connectivity-sufficient (skyline) set. Touches
-  /// fewer switches — exactly one for an intra-leaf migration — at the cost
-  /// of possibly degrading the initial balancing.
-  kMinimal,
-};
 
 struct MigrationOptions {
   /// The paper's eq. (5) improvement: migration SMPs may be destination
@@ -188,7 +177,8 @@ class VSwitchFabric {
     bool require_reachable = false;
   };
 
-  /// §V-C step (b): plans the delta set, records it in the journal, then
+  /// §V-C step (b): plans the delta set (plan_update_set, with the LIDs'
+  /// attachments after the address move), records it in the journal, then
   /// updates and pushes per switch. Partial progress is tracked in
   /// txn.applied so a rollback can restore the exact prior bytes.
   void txn_apply_lfts(MigrationTxn& txn, const ApplyOptions& apply);
@@ -259,11 +249,6 @@ class VSwitchFabric {
   /// Free VF slots on `hypervisor`, O(1).
   [[nodiscard]] std::size_t free_vf_count(std::size_t hypervisor) const;
 
-  /// The EntryDelta of the last migration (for skyline analysis in tests).
-  [[nodiscard]] const EntryDelta& last_delta() const noexcept {
-    return last_delta_;
-  }
-
  private:
   struct Slot {
     std::uint32_t vm = 0;  ///< 0 = free
@@ -289,7 +274,6 @@ class VSwitchFabric {
   std::unordered_map<std::uint32_t, Vm> vms_;
   std::uint32_t next_vm_id_ = 1;
   bool booted_ = false;
-  EntryDelta last_delta_;
   sm::ReconfigJournal journal_;
 };
 

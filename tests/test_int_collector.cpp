@@ -319,7 +319,7 @@ TEST(MigrationImpactProbe, MeasuresVictimFlowsAcrossTheMove) {
   options.sim.timeout_steps = 64;  // IB timeouts cover the transient
   options.migrate_at_step = 10;
   // The switches this move will touch, resolved before anything migrates.
-  const auto update_set = orch.predict_update_set(vm, 1);
+  const auto update_set = orch.predict_update_set(vm, 1).update_set;
   const auto& graph = s.sm->routing_result().graph;
   std::vector<NodeId> updated;
   for (const auto idx : update_set) updated.push_back(graph.switches[idx]);

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "core/skyline.hpp"
+#include "core/update_set.hpp"
 #include "tests/helpers.hpp"
 
 namespace ibvs {
@@ -30,11 +31,34 @@ struct SkylineFixture : ::testing::Test {
     vm = r.vm;
     lid = r.lid;
   }
+
+  /// The VM LID's old and new entry on every switch for a deterministic
+  /// move to `dst`: the update-set planner's deltas folded over the master
+  /// table, read before the move.
+  [[nodiscard]] core::EntryDelta planned_delta(std::size_t dst) const {
+    const auto& master = s.sm->routing_result();
+    const auto& hyp = s.hyps[dst];
+    const auto plan = core::plan_update_set(
+        master,
+        {.vm_lid = lid,
+         .takes_from = s.fabric.node(hyp.pf).lid(),
+         .vm_at = {hyp.leaf, hyp.leaf_port}},
+        core::ReconfigMode::kDeterministic);
+    core::EntryDelta delta;
+    for (routing::SwitchIdx i = 0; i < master.graph.num_switches(); ++i) {
+      delta.old_entry.push_back(master.lfts[i].get(lid));
+    }
+    delta.new_entry = delta.old_entry;
+    for (const auto& d : plan.deltas) {
+      delta.new_entry[master.graph.dense(d.switch_node)] = d.new_port;
+    }
+    return delta;
+  }
 };
 
 TEST_F(SkylineFixture, MinimalSetIsSubsetOfChangedSet) {
+  const auto delta = planned_delta(7);
   s.vsf->migrate_vm(vm, 7);
-  const auto& delta = s.vsf->last_delta();
   const auto changed = core::changed_switches(delta);
   const auto attach =
       s.sm->lids().attachment(s.fabric, lid);
@@ -50,8 +74,8 @@ TEST_F(SkylineFixture, MinimalSetIsSubsetOfChangedSet) {
 TEST_F(SkylineFixture, HybridTablesDeliverAfterMinimalRepair) {
   // Apply only the minimal set on a copy of the entries and verify every
   // switch's hybrid route reaches the new attachment.
+  const auto delta = planned_delta(6);
   s.vsf->migrate_vm(vm, 6);
-  const auto& delta = s.vsf->last_delta();
   const auto attach = s.sm->lids().attachment(s.fabric, lid);
   ASSERT_TRUE(attach.has_value());
   const auto& g = s.sm->routing_result().graph;
@@ -81,8 +105,8 @@ TEST_F(SkylineFixture, HybridTablesDeliverAfterMinimalRepair) {
 }
 
 TEST_F(SkylineFixture, IntraLeafRepairIsTheLeafOnly) {
+  const auto delta = planned_delta(1);
   s.vsf->migrate_vm(vm, 1);  // hypervisors 0,1,2 share leaf 0
-  const auto& delta = s.vsf->last_delta();
   const auto attach = s.sm->lids().attachment(s.fabric, lid);
   ASSERT_TRUE(attach.has_value());
   const auto& g = s.sm->routing_result().graph;
