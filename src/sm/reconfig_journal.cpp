@@ -186,10 +186,12 @@ void resolve_topology(SubnetManager& sm, JournalRecord& r,
       report.address_smps += 1;
       report.address_time_us += transport.end_batch();
     }
-    if (t.op == TopologyOp::kDetachSwitch && t.subject_lid.valid() &&
-        sm.lids().assigned(t.subject_lid) &&
-        sm.lids().owner(t.subject_lid).node == t.subject) {
-      sm.lids().release(fabric, t.subject_lid);
+    if (t.op == TopologyOp::kDetachSwitch && t.subject_lid.valid()) {
+      if (sm.lids().assigned(t.subject_lid) &&
+          sm.lids().owner(t.subject_lid).node == t.subject) {
+        sm.lids().release(fabric, t.subject_lid);
+      }
+      sm.lids().unreserve(t.subject_lid);  // the scrub is in the tables
     }
   } else if (r.started) {
     const SmpCost cost = undo_cabling(sm, t);

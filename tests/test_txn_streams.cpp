@@ -241,6 +241,20 @@ TEST(TxnStream, PinnedDigests) {
 // ---------------------------------------------------------------------------
 // One recover() over both record kinds.
 
+/// One recover() over the in-flight records, then the VM bookkeeping; both
+/// records must end terminal and the fabric checker clean.
+void expect_mixed_recovery(VirtualSubnet& s) {
+  ASSERT_EQ(s.vsf->journal().in_flight(), 2u);
+  const auto rec = s.vsf->journal().recover(*s.sm);
+  EXPECT_EQ(rec.in_flight, 2u);
+  EXPECT_EQ(rec.rolled_forward + rec.rolled_back, 2u);
+  EXPECT_TRUE(rec.redistribution.converged);
+  const auto rr = s.vsf->reconcile_with_journal();
+  EXPECT_EQ(rr.committed + rr.rolled_back, 1u);
+  EXPECT_EQ(s.vsf->journal().in_flight(), 0u);
+  EXPECT_TRUE(inject::FabricChecker(*s.sm).check(s.vsf.get()).clean());
+}
+
 TEST(MixedJournalRecovery, MigrationAndDetachInFlightTogether) {
   for (const auto scheme : {kDyn, kPre}) {
     for (const bool migration_first : {true, false}) {
@@ -249,9 +263,6 @@ TEST(MixedJournalRecovery, MigrationAndDetachInFlightTogether) {
       auto s = VirtualSubnet::small(scheme);
       s.vsf->boot();
       sm::TopologyTxnManager topo(*s.sm, s.vsf->journal());
-      // The VM exists before either record opens: a dynamic LID handed
-      // out while the detach is in flight could reuse the subject's
-      // released LID, which the detach's roll-forward then scrubs.
       const auto vm = s.create_on(0);
       if (migration_first) {
         interrupted_migration(s, vm);
@@ -260,18 +271,47 @@ TEST(MixedJournalRecovery, MigrationAndDetachInFlightTogether) {
         interrupted_detach(s, topo);
         interrupted_migration(s, vm);
       }
-      ASSERT_EQ(s.vsf->journal().in_flight(), 2u);
-
-      const auto rec = s.vsf->journal().recover(*s.sm);
-      EXPECT_EQ(rec.in_flight, 2u);
-      EXPECT_EQ(rec.rolled_forward + rec.rolled_back, 2u);
-      EXPECT_TRUE(rec.redistribution.converged);
-      const auto rr = s.vsf->reconcile_with_journal();
-      EXPECT_EQ(rr.committed + rr.rolled_back, 1u);
-      EXPECT_EQ(s.vsf->journal().in_flight(), 0u);
-      EXPECT_TRUE(inject::FabricChecker(*s.sm).check(s.vsf.get()).clean());
+      expect_mixed_recovery(s);
     }
   }
+}
+
+TEST(MixedJournalRecovery, VmCreatedBetweenTheTwoRecords) {
+  // The VM is created while the detach is in flight, so a dynamic LID is
+  // handed out then — it must not be the subject's released LID.
+  for (const auto scheme : {kDyn, kPre}) {
+    SCOPED_TRACE(scheme == kDyn ? "dynamic" : "prepopulated");
+    auto s = VirtualSubnet::small(scheme);
+    s.vsf->boot();
+    sm::TopologyTxnManager topo(*s.sm, s.vsf->journal());
+    interrupted_detach(s, topo);
+    const auto vm = s.create_on(0);
+    interrupted_migration(s, vm);
+    expect_mixed_recovery(s);
+  }
+}
+
+TEST(JournalRecovery, ReleasedLidStaysReservedWhileItsDetachIsInFlight) {
+  // A detach releases its subject's LID and journals a scrub of it. A VM
+  // created before recovery must get another LID: the roll-forward would
+  // otherwise scrub the new VM's routes.
+  auto s = VirtualSubnet::small(kDyn);
+  s.vsf->boot();
+  sm::TopologyTxnManager topo(*s.sm, s.vsf->journal());
+  const auto detach = interrupted_detach(s, topo);
+  const Lid subject_lid = detach.subject_lid;
+  ASSERT_TRUE(subject_lid.valid());
+  EXPECT_FALSE(s.sm->lids().assigned(subject_lid));
+
+  const auto created = s.vsf->create_vm(0);
+  EXPECT_NE(created.lid, subject_lid);
+  const auto rec = s.vsf->journal().recover(*s.sm);
+  EXPECT_EQ(rec.rolled_forward, 1u);
+  EXPECT_TRUE(inject::FabricChecker(*s.sm).check(s.vsf.get()).clean());
+
+  // The record is terminal: the LID is free for the next owner again.
+  EXPECT_EQ(s.vsf->create_vm(1).lid, subject_lid);
+  EXPECT_TRUE(inject::FabricChecker(*s.sm).check(s.vsf.get()).clean());
 }
 
 }  // namespace
