@@ -222,7 +222,7 @@ DistributionReport SubnetManager::distribution_round(SmpRouting routing) {
       cold_pending_.erase(it);
       SweepMetrics::get().cold_resyncs.inc();
     }
-    const Lft& master = routing_.lfts[s];
+    Lft& master = routing_.lfts[s];
     blocks.clear();
     if (cold) {
       // Restored after an outage: resend every master block, matching or
@@ -245,6 +245,11 @@ DistributionReport SubnetManager::distribution_round(SmpRouting routing) {
     for (const std::uint32_t b : blocks) {
       transport_.send_lft_block(sw, b, master.block(b), routing);
     }
+    // Every block that differed from the master (every block, when cold)
+    // is sent: no push is pending. Dirty marks left by a master-only
+    // replay, or by a revert that skipped this switch, would only resend
+    // blocks the switch already holds.
+    master.clear_dirty();
     report.smps += blocks.size();
     report.blocks_skipped += master.block_count() - blocks.size();
     if (!blocks.empty()) ++report.switches_touched;
