@@ -213,6 +213,58 @@ std::string to_string(const ChaosReport& report) {
 
 namespace {
 
+/// Live switches whose death leaves every other node reachable from the SM.
+std::vector<NodeId> killable_switches(const Fabric& fabric,
+                                      const FaultInjector& injector,
+                                      NodeId sm_node) {
+  std::vector<NodeId> out;
+  for (NodeId id = 0; id < fabric.size(); ++id) {
+    if (!fabric.node(id).is_physical_switch()) continue;
+    if (injector.is_dead(id)) continue;
+    if (!safe_to_remove(fabric, sm_node, nullptr, id)) continue;
+    out.push_back(id);
+  }
+  return out;
+}
+
+/// What follows every applied event: the SM's reconvergence loop, priced
+/// on the simulated clock under whatever MAD faults are active, then every
+/// invariant checked on the installed fabric. The event and its cost fold
+/// into the report and its digest.
+void recover_and_check(core::VSwitchFabric& vsf, const FabricChecker& checker,
+                       ChaosReport& report, ChaosEvent event) {
+  sm::SubnetManager& sm = vsf.subnet_manager();
+  const fabric::SmpTransport& transport = sm.transport();
+  const SmpCounters before = transport.counters();
+  const auto recovery = sm.reconverge();
+  const SmpCounters after = transport.counters();
+  event.rounds = recovery.rounds;
+  event.smps = recovery.smps;
+  event.time_us = recovery.time_us;
+  event.retries = after.retries - before.retries;
+  event.timeouts = after.timeouts - before.timeouts;
+  report.undeliverable += after.undeliverable - before.undeliverable;
+  if (!recovery.converged) report.all_converged = false;
+
+  const CheckReport checked = checker.check(&vsf);
+  event.violations = checked.violations.size();
+
+  report.reconverge_rounds += event.rounds;
+  report.reconverge_smps += event.smps;
+  report.reconverge_retries += event.retries;
+  report.reconverge_timeouts += event.timeouts;
+  report.reconverge_time_us += event.time_us;
+  report.checker_violations += event.violations;
+  ChaosMetrics::get().violations.inc(event.violations);
+  ChaosMetrics::get().recovery_smps.inc(event.smps);
+
+  fold(report.digest, event.kind);
+  fold(report.digest, event.detail);
+  fold(report.digest, event.smps);
+  fold(report.digest, static_cast<std::uint64_t>(event.violations));
+  report.events.push_back(std::move(event));
+}
+
 /// The kEvacuation scenario: drain one hypervisor through the fleet
 /// planner while a switch dies mid-plan. Every batch boundary reconverges
 /// and checker-verifies; the digest folds the same (kind, detail, smps,
@@ -236,57 +288,30 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
   injector.set_global_fault(config.mad_faults);
 
   SplitMix64 rng(config.seed);
-  const FabricChecker checker(sm, config.checker);
+  const FabricChecker checker(sm);
   const NodeId sm_node = transport.sm_node();
 
   ChaosReport report;
   report.seed = config.seed;
   report.digest = kFnvOffset;
 
-  // The host to drain: config override, else the fullest one (lowest index
-  // on ties — the loop only replaces on strictly-more VMs).
+  // The host to drain: the fullest one (lowest index on ties — the loop
+  // only replaces on strictly-more VMs).
   const auto& hyps = vsf.hypervisors();
-  std::size_t target = config.evacuate_hypervisor;
-  if (target >= hyps.size()) {
-    std::size_t most_used = 0;
-    target = 0;
-    for (std::size_t h = 0; h < hyps.size(); ++h) {
-      const std::size_t used = hyps[h].vfs.size() - vsf.free_vf_count(h);
-      if (used > most_used) {
-        most_used = used;
-        target = h;
-      }
+  std::size_t target = 0;
+  std::size_t most_used = 0;
+  for (std::size_t h = 0; h < hyps.size(); ++h) {
+    const std::size_t used = hyps[h].vfs.size() - vsf.free_vf_count(h);
+    if (used > most_used) {
+      most_used = used;
+      target = h;
     }
   }
   report.evacuation_hypervisor = target;
 
-  const auto recover_and_check = [&](ChaosEvent event) {
-    const SmpCounters before = transport.counters();
-    const auto recovery = sm.reconverge(config.max_reconverge_rounds);
-    const SmpCounters after = transport.counters();
-    event.rounds = recovery.rounds;
-    event.smps = recovery.smps;
-    event.time_us = recovery.time_us;
-    event.retries = after.retries - before.retries;
-    event.timeouts = after.timeouts - before.timeouts;
-    report.undeliverable += after.undeliverable - before.undeliverable;
-    if (!recovery.converged) report.all_converged = false;
-    const CheckReport checked = checker.check(&vsf);
-    event.violations = checked.violations.size();
-    report.reconverge_rounds += event.rounds;
-    report.reconverge_smps += event.smps;
-    report.reconverge_retries += event.retries;
-    report.reconverge_timeouts += event.timeouts;
-    report.reconverge_time_us += event.time_us;
-    report.checker_violations += event.violations;
-    ChaosMetrics::get().violations.inc(event.violations);
-    ChaosMetrics::get().recovery_smps.inc(event.smps);
-    fold(report.digest, event.kind);
-    fold(report.digest, event.detail);
-    fold(report.digest, event.smps);
-    fold(report.digest, static_cast<std::uint64_t>(event.violations));
+  const auto recover_step = [&](ChaosEvent event) {
+    recover_and_check(vsf, checker, report, std::move(event));
     ++report.steps;
-    report.events.push_back(std::move(event));
   };
 
   cloud::MigrationPlanner::Options planner_options;
@@ -312,10 +337,9 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
 
   // One seeded draw decides which batch the switch dies in front of; the
   // victim itself is drawn when the moment arrives, against live state.
-  const std::size_t kill_before =
-      config.kill_switch_mid_plan && !plan.batches.empty()
-          ? rng.below(plan.batches.size())
-          : static_cast<std::size_t>(-1);
+  const std::size_t kill_before = !plan.batches.empty()
+                                      ? rng.below(plan.batches.size())
+                                      : static_cast<std::size_t>(-1);
   NodeId killed = kInvalidNode;
 
   cloud::ExecutorPolicy policy;
@@ -323,13 +347,7 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
   policy.on_batch_start = [&](std::size_t index,
                               const cloud::MigrationBatch&) {
     if (index != kill_before || killed != kInvalidNode) return;
-    std::vector<NodeId> candidates;
-    for (NodeId id = 0; id < fabric.size(); ++id) {
-      if (!fabric.node(id).is_physical_switch()) continue;
-      if (injector.is_dead(id)) continue;
-      if (!safe_to_remove(fabric, sm_node, nullptr, id)) continue;
-      candidates.push_back(id);
-    }
+    const auto candidates = killable_switches(fabric, injector, sm_node);
     if (candidates.empty()) return;
     killed = candidates[rng.below(candidates.size())];
     ChaosEvent event;
@@ -338,7 +356,7 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
         fabric.node(killed).name + " before batch " + std::to_string(index);
     injector.kill_node(killed);
     ++report.structural_events;
-    recover_and_check(std::move(event));
+    recover_step(std::move(event));
   };
   policy.on_batch_end = [&](std::size_t index, const cloud::MigrationBatch&,
                             const cloud::BatchExecution& be) {
@@ -352,7 +370,7 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
                    std::to_string(be.committed) + " committed, " +
                    std::to_string(be.rolled_back) + " rolled back, " +
                    std::to_string(be.skipped) + " skipped";
-    recover_and_check(std::move(event));
+    recover_step(std::move(event));
   };
 
   cloud::PlanExecutor executor(cloud);
@@ -370,7 +388,7 @@ ChaosReport run_evacuation_chaos(cloud::CloudOrchestrator& cloud,
     event.detail = fabric.node(killed).name;
     injector.revive_node(killed);
     ++report.structural_events;
-    recover_and_check(std::move(event));
+    recover_step(std::move(event));
   }
 
   // The dead switch may have stranded VMs on the target host; with every
@@ -424,7 +442,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
   injector.set_global_fault(config.mad_faults);
 
   SplitMix64 rng(config.seed);
-  const FabricChecker checker(sm, config.checker);
+  const FabricChecker checker(sm);
 
   ChaosReport report;
   report.seed = config.seed;
@@ -612,13 +630,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
         break;
       }
       case EventKind::kSwitchKill: {
-        std::vector<NodeId> candidates;
-        for (NodeId id = 0; id < fabric.size(); ++id) {
-          if (!fabric.node(id).is_physical_switch()) continue;
-          if (injector.is_dead(id)) continue;
-          if (!safe_to_remove(fabric, sm_node, nullptr, id)) continue;
-          candidates.push_back(id);
-        }
+        const auto candidates = killable_switches(fabric, injector, sm_node);
         if (!candidates.empty()) {
           const NodeId id = candidates[rng.below(candidates.size())];
           event.detail = fabric.node(id).name;
@@ -722,7 +734,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
             ++report.migration_commits;
           } else {
             const auto recovery =
-                vsf.journal().recover(sm, config.max_reconverge_rounds);
+                vsf.journal().recover(sm);
             const auto reconciled = vsf.reconcile_with_journal();
             report.migration_commits += reconciled.committed;
             report.migration_rollbacks += reconciled.rolled_back;
@@ -821,7 +833,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
             topo.txn_mutate(txn);
             if (die_early) {
               const auto recovery =
-                  vsf.journal().recover(sm, config.max_reconverge_rounds);
+                  vsf.journal().recover(sm);
               event.detail +=
                   " died@mutate -> " + std::string(recovery.rolled_back > 0
                                                        ? "rolled_back"
@@ -837,7 +849,7 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
           } catch (const sm::TopologyError& err) {
             if (err.code() == sm::TopologyErrc::kInterrupted) {
               const auto recovery =
-                  vsf.journal().recover(sm, config.max_reconverge_rounds);
+                  vsf.journal().recover(sm);
               const bool forward = recovery.rolled_forward > 0;
               event.detail += " died@" + std::to_string(abort_after) +
                               "smp -> " +
@@ -869,37 +881,8 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
     }
     if (structural) ++report.structural_events;
 
-    // 3. Recover: the SM's reconvergence loop, priced on the simulated
-    // clock, under whatever MAD faults are active.
-    const SmpCounters before = transport.counters();
-    const auto recovery = sm.reconverge(config.max_reconverge_rounds);
-    const SmpCounters after = transport.counters();
-    event.rounds = recovery.rounds;
-    event.smps = recovery.smps;
-    event.time_us = recovery.time_us;
-    event.retries = after.retries - before.retries;
-    event.timeouts = after.timeouts - before.timeouts;
-    report.undeliverable += after.undeliverable - before.undeliverable;
-    if (!recovery.converged) report.all_converged = false;
-
-    // 4. Verify: the installed fabric must satisfy every invariant.
-    const CheckReport checked = checker.check(&vsf);
-    event.violations = checked.violations.size();
-
-    report.reconverge_rounds += event.rounds;
-    report.reconverge_smps += event.smps;
-    report.reconverge_retries += event.retries;
-    report.reconverge_timeouts += event.timeouts;
-    report.reconverge_time_us += event.time_us;
-    report.checker_violations += event.violations;
-    ChaosMetrics::get().violations.inc(event.violations);
-    ChaosMetrics::get().recovery_smps.inc(event.smps);
-
-    fold(report.digest, event.kind);
-    fold(report.digest, event.detail);
-    fold(report.digest, event.smps);
-    fold(report.digest, static_cast<std::uint64_t>(event.violations));
-    report.events.push_back(std::move(event));
+    // 3-4. Recover, then verify every invariant on the installed fabric.
+    recover_and_check(vsf, checker, report, std::move(event));
   }
 
   transport.set_fault_model(previous_model);

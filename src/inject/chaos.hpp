@@ -46,13 +46,10 @@ struct ChaosConfig {
   std::uint64_t seed = 1;
   std::size_t steps = 32;
 
+  /// kEvacuation drains the host with the most VMs (ties to the lowest
+  /// index) and kills one safety-filtered switch right before a seeded
+  /// batch of the plan, reviving it once the plan ran.
   ChaosScenario scenario = ChaosScenario::kSteadyState;
-  /// kEvacuation: the hypervisor to drain. npos auto-picks the host with
-  /// the most VMs (ties to the lowest index).
-  std::size_t evacuate_hypervisor = static_cast<std::size_t>(-1);
-  /// kEvacuation: kill one (safety-filtered) switch right before a seeded
-  /// batch of the plan, and revive it once the plan ran.
-  bool kill_switch_mid_plan = true;
 
   // Relative event weights (0 disables the kind).
   unsigned weight_link_cut = 3;
@@ -86,11 +83,6 @@ struct ChaosConfig {
   /// Probabilistic MAD plane active for the whole run (drops force the
   /// transport's retry/backoff machinery; jitter perturbs latencies).
   LinkFault mad_faults{};
-
-  /// Cap on SubnetManager::reconverge rounds after each event.
-  std::size_t max_reconverge_rounds = 64;
-
-  CheckerConfig checker{};
 };
 
 /// One step of the run: the event applied and what recovery cost.
