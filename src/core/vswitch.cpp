@@ -711,7 +711,9 @@ VSwitchFabric::HotAddReport VSwitchFabric::add_hypervisor(
   sm_->fabric().set_lid(hyp.vswitch, 0,
                        sm_->fabric().node(hyp.pf).lid());
 
-  // A new attachment point means real path computation — no shortcut.
+  // A new attachment point means real path computation: the tables are a
+  // routing run's. Min-Hop re-chooses ports only on the switches whose
+  // inputs the newcomer changed, so only the PCt figure shrinks.
   sm_->compute_routes();
   report.path_computation_seconds = sm_->routing_result().compute_seconds;
   report.distribution = sm_->distribute_lfts();
@@ -721,6 +723,8 @@ VSwitchFabric::HotAddReport VSwitchFabric::add_hypervisor(
 sm::SweepReport VSwitchFabric::full_reconfigure() {
   IBVS_REQUIRE(booted_, "boot() first");
   sm::SweepReport report;
+  // OpenSM's full recompute: every switch, whatever changed.
+  sm_->invalidate_routes();
   sm_->compute_routes();
   report.path_computation_seconds = sm_->routing_result().compute_seconds;
   report.distribution = sm_->distribute_lfts();

@@ -48,6 +48,7 @@ class DfssspEngine final : public RoutingEngine {
     const std::size_t s_count = g.num_switches();
     const std::size_t e_count = g.num_edges();
     result.lfts.assign(s_count, Lft(lids.top_lid()));
+    result.switches_rerouted = s_count;
     if (s_count == 0 || g.targets.empty()) {
       result.compute_seconds = watch.elapsed_seconds();
       return result;

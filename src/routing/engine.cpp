@@ -11,6 +11,12 @@ std::unique_ptr<RoutingEngine> make_up_down_engine();
 std::unique_ptr<RoutingEngine> make_dfsssp_engine();
 std::unique_ptr<RoutingEngine> make_lash_engine();
 
+void RoutingEngine::recompute(const Fabric& fabric, const LidMap& lids,
+                              RoutingResult& tables,
+                              const std::vector<bool>& /*written*/) {
+  tables = compute(fabric, lids);
+}
+
 std::unique_ptr<RoutingEngine> make_engine(EngineKind kind) {
   switch (kind) {
     case EngineKind::kMinHop:

@@ -6,6 +6,11 @@
 // on VLs (DFSSSP, LASH). This mirrors OpenSM's routing-engine plug-in
 // boundary; the four engines of Fig. 7 (fat-tree, minhop, dfsssp, lash) and
 // Up*/Down* are implemented against it.
+//
+// An engine either computes from scratch (compute()) or rewrites the SM's
+// master tables in place (recompute()). Min-Hop does the latter: it keeps
+// what its previous run read beside the tables it wrote and re-chooses a
+// switch's ports only from the first target whose inputs changed.
 #pragma once
 
 #include <cstdint>
@@ -34,6 +39,20 @@ struct RoutingResult {
   std::vector<std::uint8_t> pair_layer;
   /// Wall-clock path-computation time (the PCt of eq. (1)).
   double compute_seconds = 0.0;
+  /// Switches whose tables this run rewrote (all of them when cold).
+  std::size_t switches_rerouted = 0;
+
+  /// What the run read, kept with the tables it wrote so the next in-place
+  /// run can tell which switches' inputs changed. Only Min-Hop fills it:
+  /// the target list, the CSR adjacency and the hop matrix. The tables'
+  /// own capacity is the fourth input.
+  struct Inputs {
+    std::vector<SwitchGraph::Target> targets;
+    std::vector<std::uint32_t> adj_offset;
+    std::vector<SwitchGraph::Edge> edges;
+    std::vector<std::uint8_t> hops;  ///< switch_hop_matrix() layout
+  };
+  Inputs inputs;
 
   /// Egress port on switch `s` for `lid` (kDropPort if unrouted).
   [[nodiscard]] PortNum port_at(SwitchIdx s, Lid lid) const {
@@ -61,6 +80,16 @@ class RoutingEngine {
   /// fabric + LID assignment.
   [[nodiscard]] virtual RoutingResult compute(const Fabric& fabric,
                                               const LidMap& lids) = 0;
+
+  /// Brings `tables` — an earlier result, possibly patched since — up to
+  /// date in place, leaving exactly what compute() would return.
+  /// `written[s]` marks switch s as written since that result was computed
+  /// (or added, or the whole set stale); switches past its end count as
+  /// unwritten. The default assigns a cold compute(); Min-Hop reuses every
+  /// unwritten switch's table up to the first target whose inputs changed.
+  virtual void recompute(const Fabric& fabric, const LidMap& lids,
+                         RoutingResult& tables,
+                         const std::vector<bool>& written);
 };
 
 enum class EngineKind { kMinHop, kFatTree, kUpDown, kDfsssp, kLash };

@@ -146,6 +146,7 @@ class FatTreeEngine final : public RoutingEngine {
 
     // --- Phase 2: assemble LFTs; up-rule fills the gaps. ---
     result.lfts.assign(s_count, Lft(lids.top_lid()));
+    result.switches_rerouted = s_count;
     ThreadPool::global().parallel_ranges(
         0, s_count, kMinSwitchesPerRange,
         [&](std::size_t begin, std::size_t end) {

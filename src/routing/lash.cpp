@@ -135,6 +135,7 @@ class LashEngine final : public RoutingEngine {
     const SwitchGraph& g = result.graph;
     const std::size_t s_count = g.num_switches();
     result.lfts.assign(s_count, Lft(lids.top_lid()));
+    result.switches_rerouted = s_count;
     if (s_count == 0 || g.targets.empty()) {
       result.compute_seconds = watch.elapsed_seconds();
       return result;

@@ -100,6 +100,7 @@ class UpDownEngine final : public RoutingEngine {
     const std::size_t s_count = g.num_switches();
     const std::size_t t_count = g.targets.size();
     result.lfts.assign(s_count, Lft(lids.top_lid()));
+    result.switches_rerouted = s_count;
     if (s_count == 0 || t_count == 0) {
       result.compute_seconds = watch.elapsed_seconds();
       return result;

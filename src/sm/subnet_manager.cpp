@@ -66,6 +66,11 @@ void SubnetManager::set_engine(
     std::unique_ptr<routing::RoutingEngine> engine) {
   IBVS_REQUIRE(engine != nullptr, "a routing engine is required");
   engine_ = std::move(engine);
+  invalidate_routes();
+}
+
+void SubnetManager::invalidate_routes() {
+  written_.assign(routing_.lfts.size(), true);
 }
 
 DiscoveryReport SubnetManager::discover() {
@@ -189,12 +194,21 @@ std::size_t SubnetManager::assign_lids() {
 const routing::RoutingResult& SubnetManager::compute_routes() {
   auto span = telemetry::Tracer::global().span(
       "sm.path_computation", {{"engine", std::string(engine_->name())}});
-  routing_ = engine_->compute(fabric_, lids_);
+  try {
+    engine_->recompute(fabric_, lids_, routing_, written_);
+  } catch (...) {
+    // A run cut short may leave some tables rewritten and others not.
+    invalidate_routes();
+    throw;
+  }
+  written_.assign(routing_.lfts.size(), false);
   routing_ready_ = true;
   ++generation_;
   auto& metrics = SweepMetrics::get();
   metrics.route_computations.inc();
   metrics.last_pct_seconds.set(routing_.compute_seconds);
+  span.set_attr("switches_rerouted",
+                std::to_string(routing_.switches_rerouted));
   return routing_;
 }
 
@@ -344,6 +358,7 @@ void SubnetManager::update_master_entry(routing::SwitchIdx sw, Lid lid,
   IBVS_REQUIRE(routing_ready_, "no master tables yet");
   IBVS_REQUIRE(sw < routing_.lfts.size(), "switch index out of range");
   routing_.lfts[sw].set(lid, port);
+  written_[sw] = true;
 }
 
 void SubnetManager::refresh_targets() {
@@ -361,6 +376,7 @@ void SubnetManager::adopt_topology_change() {
   while (routing_.lfts.size() < routing_.graph.num_switches()) {
     routing_.lfts.emplace_back(lids_.top_lid());
   }
+  written_.resize(routing_.lfts.size(), true);
   transport_.invalidate_topology();
   ++generation_;
   SweepMetrics::get().topology_adoptions.inc();

@@ -73,6 +73,8 @@ class SubnetManager {
     return transport_;
   }
   [[nodiscard]] routing::RoutingEngine& engine() noexcept { return *engine_; }
+  /// Swaps the routing engine; the next compute_routes() recomputes every
+  /// switch.
   void set_engine(std::unique_ptr<routing::RoutingEngine> engine);
 
   /// Directed-route BFS over the fabric, counting discovery SMPs.
@@ -93,8 +95,17 @@ class SubnetManager {
   /// Assigns a LID to one port and accounts the PortInfo SMP.
   Lid assign_lid(NodeId node, PortNum port);
 
-  /// Runs the routing engine; stores the result as the master tables.
+  /// Runs the routing engine over the master tables in place
+  /// (RoutingEngine::recompute), handing it the switches whose tables were
+  /// written since the last run: update_master_entry(), switches added by
+  /// adopt_topology_change(), or every switch after set_engine() or
+  /// invalidate_routes(). Min-Hop re-chooses ports only where its inputs
+  /// changed; the tables equal a cold run's either way.
   const routing::RoutingResult& compute_routes();
+
+  /// Marks every master table as written, so the next compute_routes()
+  /// recomputes every switch: the full recompute OpenSM runs.
+  void invalidate_routes();
 
   /// Sends every master LFT block that differs from the installed one.
   /// Switches with no path from the SM are skipped (like reconverge():
@@ -209,6 +220,8 @@ class SubnetManager {
   fabric::SmpTransport transport_;
   std::unique_ptr<routing::RoutingEngine> engine_;
   routing::RoutingResult routing_;
+  /// Per master table: written since the last compute_routes().
+  std::vector<bool> written_;
   /// Switches seen unreachable by distribution_round(). On a real fabric a
   /// switch returning from a power event holds an LFT the SM cannot trust
   /// (the simulation preserves installed tables, real hardware does not),

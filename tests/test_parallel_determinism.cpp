@@ -10,11 +10,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 
 #include "fabric/credit_sim.hpp"
 #include "fabric/trace.hpp"
 #include "inject/chaos.hpp"
 #include "inject/checker.hpp"
+#include "inject/injector.hpp"
 #include "perf/int_collector.hpp"
 #include "tests/helpers.hpp"
 #include "util/thread_pool.hpp"
@@ -104,6 +106,52 @@ TEST(ParallelDeterminism, ReconvergeStreamMatchesSingleThreaded) {
   }
   ASSERT_FALSE(streams[0].empty());
   EXPECT_EQ(streams[0], streams[1]);
+}
+
+TEST(ParallelDeterminism, FaultSequenceReconvergesAsSingleThreaded) {
+  // Min-Hop rewrites the master tables in place, re-choosing ports only
+  // from the first target whose inputs changed: cuts, a flap, a spine kill
+  // and the matching repairs, each recovered by reconverge() on a tree
+  // large enough for the hop-matrix update and the fill to fan out.
+  std::vector<std::vector<Smp>> streams;
+  std::vector<std::vector<Lft>> masters;
+  std::vector<std::vector<std::size_t>> rerouted;
+  for (const std::size_t threads : kThreadSweep) {
+    ThreadGuard guard(threads);
+    auto s = routing_fabric(routing::EngineKind::kMinHop);
+    s.sm->full_sweep();
+    inject::FaultInjector injector(s.fabric);
+    injector.attach_transport(&s.sm->transport());
+    const NodeId leaf = s.built.leaves[5];
+    const NodeId spine = s.built.spines[2];
+    // Ports 1..18 face hosts, 19..36 the spines.
+    const PortNum up = 19;
+    ASSERT_TRUE(s.fabric.node(leaf).ports[up].connected());
+    const std::function<void()> faults[] = {
+        [&] { injector.cut_link(leaf, up); },
+        [&] { injector.flap_link(s.built.leaves[7], up); },
+        [&] { injector.kill_node(spine); },
+        [&] { injector.restore_link(leaf, up); },
+        [&] { injector.revive_node(spine); },
+    };
+    streams.emplace_back();
+    rerouted.emplace_back();
+    s.sm->transport().set_smp_tap(&streams.back());
+    for (const auto& fault : faults) {
+      fault();
+      EXPECT_TRUE(s.sm->reconverge().converged);
+      rerouted.back().push_back(s.sm->routing_result().switches_rerouted);
+    }
+    s.sm->transport().set_smp_tap(nullptr);
+    masters.push_back(s.sm->routing_result().lfts);
+  }
+  ASSERT_FALSE(streams[0].empty());
+  EXPECT_EQ(rerouted[0][1], 0u);  // the flap changed nothing
+  for (std::size_t run = 1; run < streams.size(); ++run) {
+    EXPECT_EQ(streams[0], streams[run]) << kThreadSweep[run] << " threads";
+    EXPECT_EQ(masters[0], masters[run]) << kThreadSweep[run] << " threads";
+    EXPECT_EQ(rerouted[0], rerouted[run]) << kThreadSweep[run] << " threads";
+  }
 }
 
 /// Tables, VLs and layer count one engine computes at each pool size.
