@@ -41,6 +41,10 @@ struct RoutingResult {
   double compute_seconds = 0.0;
   /// Switches whose tables this run rewrote (all of them when cold).
   std::size_t switches_rerouted = 0;
+  /// Min-Hop hop-matrix rows (BFS sources) this run searched: every switch
+  /// when cold, only the rows a changed cable can reach otherwise, none
+  /// for a flap. 0 for the other engines.
+  std::size_t hop_rows_searched = 0;
 
   /// What the run read, kept with the tables it wrote so the next in-place
   /// run can tell which switches' inputs changed. Only Min-Hop fills it:

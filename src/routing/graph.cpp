@@ -1,6 +1,7 @@
 #include "routing/graph.hpp"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/expect.hpp"
 #include "util/thread_pool.hpp"
@@ -128,34 +129,89 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
   return hops;
 }
 
-std::vector<std::uint32_t> update_hop_matrix(
+HopMatrixUpdate update_hop_matrix(
     const SwitchGraph& graph, std::vector<std::uint8_t>& hops,
-    const std::vector<std::uint32_t>& rank) {
+    const std::vector<std::uint32_t>& rank,
+    const std::vector<std::uint32_t>& prev_offset,
+    const std::vector<SwitchGraph::Edge>& prev_edges) {
   const std::size_t s_count = graph.num_switches();
   IBVS_REQUIRE(rank.size() == s_count, "one rank per switch");
+  const bool cold =
+      hops.size() != s_count * s_count || prev_offset.size() != s_count + 1;
   if (hops.size() != s_count * s_count) hops.assign(s_count * s_count, 0xFF);
-  std::vector<std::uint32_t> first_changed(s_count, ~std::uint32_t{0});
 
+  std::vector<SwitchIdx> search;
+  if (cold) {
+    search.resize(s_count);
+    std::iota(search.begin(), search.end(), SwitchIdx{0});
+  } else {
+    // Directed edges (u, v) removed and added: a switch's edges in one CSR
+    // that the other does not list.
+    std::vector<std::pair<SwitchIdx, SwitchIdx>> removed;
+    std::vector<std::pair<SwitchIdx, SwitchIdx>> added;
+    for (std::size_t s = 0; s < s_count; ++s) {
+      const auto u = static_cast<SwitchIdx>(s);
+      const auto* old_first = prev_edges.data() + prev_offset[s];
+      const auto* old_last = prev_edges.data() + prev_offset[s + 1];
+      const auto [first, last] = graph.out(u);
+      if (std::equal(old_first, old_last, first, last)) continue;
+      for (const auto* e = old_first; e != old_last; ++e) {
+        if (std::find(first, last, *e) == last) removed.emplace_back(u, e->to);
+      }
+      for (const auto* e = first; e != last; ++e) {
+        if (std::find(old_first, old_last, *e) == old_last) {
+          added.emplace_back(u, e->to);
+        }
+      }
+    }
+    // The row test. d(u) + 1 is taken in int, so an unreachable u (0xFF)
+    // bounds nothing; 0xFE is where the search saturates.
+    const auto row_holds = [&](const std::uint8_t* d) {
+      for (const auto& [u, v] : added) {
+        if (d[u] == 0xFE || d[v] == 0xFE || d[v] > d[u] + 1) return false;
+      }
+      for (const auto& [u, v] : removed) {
+        if (d[u] == 0xFE || d[v] == 0xFE) return false;
+        if (d[v] != d[u] + 1) continue;  // not a parent edge of v
+        const auto [first, last] = graph.out(v);
+        if (std::none_of(first, last, [&](const SwitchGraph::Edge& e) {
+              return d[e.to] == d[u];
+            })) {
+          return false;
+        }
+      }
+      return true;
+    };
+    for (std::size_t src = 0; src < s_count; ++src) {
+      if (!row_holds(hops.data() + src * s_count)) {
+        search.push_back(static_cast<SwitchIdx>(src));
+      }
+    }
+  }
+
+  HopMatrixUpdate update;
+  update.first_changed.assign(s_count, ~std::uint32_t{0});
+  update.rows_searched = search.size();
   ThreadPool::global().parallel_ranges(
-      0, s_count, kMinSourcesPerRange,
+      0, search.size(), kMinSourcesPerRange,
       [&](std::size_t begin, std::size_t end) {
         std::vector<SwitchIdx> queue(s_count);
         std::vector<std::uint8_t> scratch(s_count);
-        for (std::size_t src = begin; src < end; ++src) {
+        for (std::size_t k = begin; k < end; ++k) {
+          const SwitchIdx src = search[k];
           std::fill(scratch.begin(), scratch.end(), 0xFF);
-          bfs_hop_row(graph, static_cast<SwitchIdx>(src), scratch.data(),
-                      queue.data());
-          std::uint8_t* row = hops.data() + src * s_count;
+          bfs_hop_row(graph, src, scratch.data(), queue.data());
+          std::uint8_t* row = hops.data() + std::size_t{src} * s_count;
           if (std::equal(scratch.begin(), scratch.end(), row)) continue;
           std::uint32_t changed = ~std::uint32_t{0};
           for (std::size_t t = 0; t < s_count; ++t) {
             if (row[t] != scratch[t]) changed = std::min(changed, rank[t]);
           }
-          first_changed[src] = changed;
+          update.first_changed[src] = changed;
           std::copy(scratch.begin(), scratch.end(), row);
         }
       });
-  return first_changed;
+  return update;
 }
 
 }  // namespace ibvs::routing

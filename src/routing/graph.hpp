@@ -88,14 +88,36 @@ struct SwitchGraph {
 /// update_hop_matrix().
 std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 
-/// Brings `hops`, a switch_hop_matrix() of an earlier graph, up to date with
-/// `graph` in place: each source is searched into a scratch row, compared
-/// with its stored row, then copied over it. Returns, per source u, the
-/// smallest `rank[t]` over the columns t whose entry changed in row u
-/// (~0u when none did). A `hops` that does not hold S*S entries is first
-/// reset to all-unreachable, so every reachable column counts as changed.
-std::vector<std::uint32_t> update_hop_matrix(
+/// What update_hop_matrix() changed.
+struct HopMatrixUpdate {
+  /// Per source u, the smallest `rank[t]` over the columns t whose entry
+  /// changed in row u (~0u when none did).
+  std::vector<std::uint32_t> first_changed;
+  /// Rows searched by BFS: every row when cold, none when the adjacency is
+  /// unchanged.
+  std::size_t rows_searched = 0;
+};
+
+/// Brings `hops`, the switch_hop_matrix() of the earlier graph whose CSR is
+/// `prev_offset`/`prev_edges`, up to date with `graph` in place.
+///
+/// The two CSRs are diffed into the directed edges removed and added. A row
+/// with old distances d is kept without a search when every added edge u→v
+/// has d(v) ≤ d(u)+1 and every removed edge u→v with d(v) = d(u)+1 leaves
+/// v another in-neighbour w with d(w) = d(u) in `graph`: then no path got
+/// shorter and every switch kept a parent one level up. Cables are
+/// symmetric, so v's in-neighbours are its out-edge ends. A row with 0xFE
+/// (where the search saturates) at either end of a changed edge is always
+/// searched. Each searched row goes into a scratch row, is compared with
+/// the stored one, then copied over it.
+///
+/// Cold, every row is searched: when `hops` does not hold S*S entries (it
+/// is first reset to all-unreachable, so every reachable column counts as
+/// changed) or `prev_offset` does not hold S+1 offsets.
+HopMatrixUpdate update_hop_matrix(
     const SwitchGraph& graph, std::vector<std::uint8_t>& hops,
-    const std::vector<std::uint32_t>& rank);
+    const std::vector<std::uint32_t>& rank,
+    const std::vector<std::uint32_t>& prev_offset,
+    const std::vector<SwitchGraph::Edge>& prev_edges);
 
 }  // namespace ibvs::routing

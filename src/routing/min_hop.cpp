@@ -14,7 +14,6 @@
 // the same code with every switch stale.
 #include <algorithm>
 #include <atomic>
-#include <limits>
 
 #include "routing/engine.hpp"
 #include "util/thread_pool.hpp"
@@ -30,6 +29,11 @@ namespace {
 /// tables rewritten in place, running inline at 54 switches saved CPU but
 /// cost latency on fault-recovery (DESIGN.md §8).
 constexpr std::size_t kMinSwitchesPerRange = 8;
+
+/// Port-choice key of an edge with no path to the target. Every other key
+/// is (hops + 1) << 40 | port load << 8 | port, so the smallest is the
+/// minimal-hop, least-loaded, lowest port.
+constexpr std::uint64_t kNoRoute = ~std::uint64_t{0};
 
 class MinHopEngine final : public RoutingEngine {
  public:
@@ -65,19 +69,19 @@ class MinHopEngine final : public RoutingEngine {
         (written.size() == s_count &&
          std::find(written.begin(), written.end(), false) == written.end());
 
-    // The hop matrix is a function of the adjacency alone: when that is
-    // the previous run's (a flap, a cable restored to where it was at the
-    // last run), no row needs a search.
-    std::vector<std::uint32_t> row_changed(s_count, ~std::uint32_t{0});
-    if (cold || prev.adj_offset != g.adj_offset || prev.edges != g.edges) {
-      // rank[t]: index of switch t's first target. A hop change at column
-      // t first matters to a neighbour's table at that target.
-      std::vector<std::uint32_t> rank(s_count, static_cast<std::uint32_t>(n));
-      for (std::size_t i = n; i-- > 0;) {
-        rank[g.targets[i].sw] = static_cast<std::uint32_t>(i);
-      }
-      row_changed = update_hop_matrix(g, prev.hops, rank);
+    // The hop matrix is a function of the adjacency alone: only the rows
+    // the edges removed and added since the last run can change are
+    // searched (none for a flap), and every row when cold.
+    if (cold) prev.adj_offset.clear();
+    // rank[t]: index of switch t's first target. A hop change at column t
+    // first matters to a neighbour's table at that target.
+    std::vector<std::uint32_t> rank(s_count, static_cast<std::uint32_t>(n));
+    for (std::size_t i = n; i-- > 0;) {
+      rank[g.targets[i].sw] = static_cast<std::uint32_t>(i);
     }
+    const HopMatrixUpdate hop_update =
+        update_hop_matrix(g, prev.hops, rank, prev.adj_offset, prev.edges);
+    const std::vector<std::uint32_t>& row_changed = hop_update.first_changed;
     const std::vector<std::uint8_t>& hops = prev.hops;
     const std::vector<SwitchGraph::Target>& old_targets = prev.targets;
     // Targets before `same_targets` are unchanged (lid, switch, port).
@@ -141,29 +145,23 @@ class MinHopEngine final : public RoutingEngine {
               if (target.sw == s) {
                 chosen = target.port;  // local delivery (port 0 = self)
               } else {
-                // Minimal hop count via any neighbor, then least-loaded port.
-                std::uint32_t best_dist =
-                    std::numeric_limits<std::uint32_t>::max();
-                std::uint32_t best_load =
-                    std::numeric_limits<std::uint32_t>::max();
-                PortNum best_port = kDropPort;
+                // Minimal hop count via any neighbor, then least-loaded
+                // port, then lowest port: the smallest of one key per edge.
+                std::uint64_t best = kNoRoute;
                 for (const auto* e = first; e != last; ++e) {
                   const std::uint8_t h =
                       hops[static_cast<std::size_t>(e->to) * s_count +
                            target.sw];
-                  if (h == 0xFF) continue;
-                  const std::uint32_t dist = 1u + h;
-                  const std::uint32_t load = port_load[e->out_port];
-                  if (dist < best_dist ||
-                      (dist == best_dist && load < best_load) ||
-                      (dist == best_dist && load == best_load &&
-                       e->out_port < best_port)) {
-                    best_dist = dist;
-                    best_load = load;
-                    best_port = e->out_port;
-                  }
+                  const std::uint64_t key =
+                      h == 0xFF ? kNoRoute
+                                : (std::uint64_t{h} + 1) << 40 |
+                                      std::uint64_t{port_load[e->out_port]}
+                                          << 8 |
+                                      e->out_port;
+                  best = std::min(best, key);
                 }
-                chosen = best_port;
+                chosen = best == kNoRoute ? kDropPort
+                                          : static_cast<PortNum>(best & 0xFF);
                 if (chosen != kDropPort) ++port_load[chosen];
               }
               if (chosen != kDropPort) lft.set(target.lid, chosen);
@@ -177,6 +175,7 @@ class MinHopEngine final : public RoutingEngine {
     prev.adj_offset = g.adj_offset;
     prev.edges = g.edges;
     result.switches_rerouted = rerouted.load();
+    result.hop_rows_searched = hop_update.rows_searched;
     result.compute_seconds = watch.elapsed_seconds();
   }
 };

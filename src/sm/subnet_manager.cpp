@@ -209,6 +209,8 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
   metrics.last_pct_seconds.set(routing_.compute_seconds);
   span.set_attr("switches_rerouted",
                 std::to_string(routing_.switches_rerouted));
+  span.set_attr("hop_rows_searched",
+                std::to_string(routing_.hop_rows_searched));
   return routing_;
 }
 

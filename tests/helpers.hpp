@@ -15,6 +15,17 @@
 
 namespace ibvs::test {
 
+/// Cables between two physical switches, described from the lower NodeId.
+inline std::vector<CableSpec> switch_cables(const Fabric& fabric) {
+  std::vector<CableSpec> out;
+  for (const NodeId a : fabric.switch_ids()) {
+    for (const CableSpec& c : fabric.cables_of(a)) {
+      if (c.b > a && fabric.node(c.b).is_physical_switch()) out.push_back(c);
+    }
+  }
+  return out;
+}
+
 /// A physical (non-virtualized) subnet with an SM on host 0.
 struct PhysicalSubnet {
   Fabric fabric;

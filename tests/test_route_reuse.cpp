@@ -106,21 +106,7 @@ void expect_matches_cold(const sm::SubnetManager& sm, const std::string& at) {
   }
 }
 
-/// Cables between two physical switches, described from the lower NodeId.
-std::vector<CableSpec> switch_cables(const Fabric& fabric) {
-  std::vector<CableSpec> out;
-  for (const NodeId a : fabric.switch_ids()) {
-    const Node& n = fabric.node(a);
-    for (PortNum p = 1; p <= n.num_ports(); ++p) {
-      const Port& port = n.ports[p];
-      if (port.connected() && port.peer > a &&
-          fabric.node(port.peer).is_physical_switch()) {
-        out.push_back({a, p, port.peer, port.peer_port});
-      }
-    }
-  }
-  return out;
-}
+using test::switch_cables;
 
 enum class Op {
   kCut,
@@ -341,10 +327,13 @@ TEST(RouteReuse, FullReconfigureReroutesEverySwitch) {
   s.vsf->boot();
   const std::size_t switches = s.sm->routing_result().lfts.size();
   EXPECT_EQ(s.sm->routing_result().switches_rerouted, switches);
+  EXPECT_EQ(s.sm->routing_result().hop_rows_searched, switches);
   s.sm->compute_routes();
   EXPECT_EQ(s.sm->routing_result().switches_rerouted, 0u);
+  EXPECT_EQ(s.sm->routing_result().hop_rows_searched, 0u);
   s.vsf->full_reconfigure();
   EXPECT_EQ(s.sm->routing_result().switches_rerouted, switches);
+  EXPECT_EQ(s.sm->routing_result().hop_rows_searched, switches);
 }
 
 TEST(RouteReuse, FlapRoundTripReroutesNothing) {
@@ -360,6 +349,7 @@ TEST(RouteReuse, FlapRoundTripReroutesNothing) {
   ASSERT_TRUE(s->injector->flap_link(c.a, c.port_a));
   s->sm->compute_routes();
   EXPECT_EQ(s->sm->routing_result().switches_rerouted, 0u);
+  EXPECT_EQ(s->sm->routing_result().hop_rows_searched, 0u);
 
   // A cut changes the hop rows of both its ends at a switch LID, which
   // sorts before the host LIDs: every neighbour of either end re-chooses
@@ -370,6 +360,52 @@ TEST(RouteReuse, FlapRoundTripReroutesNothing) {
   expect_matches_cold(*s->sm, "after the cut");
   ASSERT_TRUE(s->injector->restore_link(c.a, c.port_a));
   s->sm->compute_routes();
+  expect_matches_cold(*s->sm, "after the restore");
+}
+
+/// Rows of the hop matrix that differ between two graphs of one switch set.
+std::size_t hop_rows_changed(const routing::SwitchGraph& before,
+                             const routing::SwitchGraph& after) {
+  const std::vector<std::uint8_t> a = routing::switch_hop_matrix(before);
+  const std::vector<std::uint8_t> b = routing::switch_hop_matrix(after);
+  const std::size_t s_count = after.num_switches();
+  std::size_t changed = 0;
+  for (std::size_t u = 0; u < s_count; ++u) {
+    const auto row = static_cast<std::ptrdiff_t>(u * s_count);
+    if (!std::equal(a.begin() + row, a.begin() + row + s_count,
+                    b.begin() + row)) {
+      ++changed;
+    }
+  }
+  return changed;
+}
+
+TEST(RouteReuse, LeafSpineCutSearchesTheHopRowsItChanges) {
+  // A leaf-spine cable only moves the two ends' rows: every other switch
+  // keeps a path one level up through another spine or leaf.
+  auto s = Subnet::tree648();
+  const std::size_t switches = s->sm->routing_result().lfts.size();
+  const NodeId leaf = s->built.leaves[5];
+  const auto cables = switch_cables(s->fabric);
+  const CableSpec c = *std::find_if(
+      cables.begin(), cables.end(),
+      [&](const CableSpec& x) { return x.a == leaf || x.b == leaf; });
+
+  routing::SwitchGraph before = s->sm->routing_result().graph;
+  ASSERT_TRUE(s->injector->cut_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  const std::size_t cut_rows =
+      hop_rows_changed(before, s->sm->routing_result().graph);
+  EXPECT_GT(cut_rows, 0u);
+  EXPECT_LT(cut_rows, switches);
+  EXPECT_EQ(s->sm->routing_result().hop_rows_searched, cut_rows);
+  expect_matches_cold(*s->sm, "after the cut");
+
+  before = s->sm->routing_result().graph;
+  ASSERT_TRUE(s->injector->restore_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  EXPECT_EQ(s->sm->routing_result().hop_rows_searched,
+            hop_rows_changed(before, s->sm->routing_result().graph));
   expect_matches_cold(*s->sm, "after the restore");
 }
 

@@ -4,6 +4,7 @@
 
 #include "routing/verify.hpp"
 #include "tests/helpers.hpp"
+#include "util/rng.hpp"
 
 namespace ibvs {
 namespace {
@@ -204,6 +205,180 @@ TEST(FatTreeMultipath, DistinctLidsSameLeafCanUseDifferentSpines) {
   std::set<PortNum> used;
   for (Lid lid : multi) used.insert(result.lfts[leaf1].get(lid));
   EXPECT_GT(used.size(), 1u);
+}
+
+// update_hop_matrix() against a fresh switch_hop_matrix() after random
+// batches of cable changes: one cable, several, all of one switch's, and a
+// removal with an addition. A long line saturates the search (0xFE) and
+// cuts disconnect it.
+
+/// Per row u of two S*S matrices, the smallest rank[t] over the columns t
+/// where they differ (~0u when none do).
+std::vector<std::uint32_t> first_changed_rank(
+    const std::vector<std::uint8_t>& before,
+    const std::vector<std::uint8_t>& after,
+    const std::vector<std::uint32_t>& rank) {
+  const std::size_t s_count = rank.size();
+  std::vector<std::uint32_t> out(s_count, ~std::uint32_t{0});
+  for (std::size_t u = 0; u < s_count; ++u) {
+    for (std::size_t t = 0; t < s_count; ++t) {
+      if (before[u * s_count + t] != after[u * s_count + t]) {
+        out[u] = std::min(out[u], rank[t]);
+      }
+    }
+  }
+  return out;
+}
+
+struct HopTally {
+  std::size_t rows = 0;           ///< rows over all batches
+  std::size_t rows_changed = 0;   ///< rows whose entries changed
+  std::size_t rows_searched = 0;  ///< rows update_hop_matrix() searched
+};
+
+/// Runs `batches` random batches of cable changes on `fabric`. After each,
+/// the matrix brought up to date by update_hop_matrix() must equal a fresh
+/// switch_hop_matrix(), and its first-changed ranks the brute force's.
+HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
+                           std::size_t batches) {
+  SplitMix64 rng(seed);
+  const LidMap lids;  // the hop matrix ignores targets
+  const std::vector<NodeId> ids = fabric.switch_ids();
+  routing::SwitchGraph graph = routing::SwitchGraph::build(fabric, lids);
+  std::vector<std::uint8_t> hops = routing::switch_hop_matrix(graph);
+  std::vector<CableSpec> cut;  // removed cables, to plug back later
+  HopTally tally;
+
+  const auto remove_one = [&] {
+    const auto cables = test::switch_cables(fabric);
+    if (cables.empty()) return;
+    const CableSpec c = cables[rng.below(cables.size())];
+    fabric.disconnect(c.a, c.port_a);
+    cut.push_back(c);
+  };
+  // A removed cable back where it was, or a new chord between free ports.
+  const auto add_one = [&] {
+    if (!cut.empty() && rng.below(2) == 0) {
+      const std::size_t i = rng.below(cut.size());
+      const CableSpec c = cut[i];
+      cut.erase(cut.begin() + static_cast<std::ptrdiff_t>(i));
+      if (!fabric.peer(c.a, c.port_a) && !fabric.peer(c.b, c.port_b)) {
+        fabric.connect(c.a, c.port_a, c.b, c.port_b);
+        return;
+      }
+    }
+    const NodeId a = ids[rng.below(ids.size())];
+    const NodeId b = ids[rng.below(ids.size())];
+    const auto pa = fabric.free_port(a);
+    const auto pb = fabric.free_port(b);
+    if (a != b && pa && pb) fabric.connect(a, *pa, b, *pb);
+  };
+
+  for (std::size_t batch = 0; batch < batches; ++batch) {
+    switch (batch % 4) {
+      case 0:  // one cable
+        rng.below(2) == 0 ? remove_one() : add_one();
+        break;
+      case 1:  // several cables
+        for (std::size_t k = 2 + rng.below(3); k-- > 0;) {
+          rng.below(2) == 0 ? remove_one() : add_one();
+        }
+        break;
+      case 2: {  // all of a switch's cables
+        const NodeId sw = ids[rng.below(ids.size())];
+        for (const CableSpec& c : fabric.cables_of(sw)) {
+          fabric.disconnect(c.a, c.port_a);
+          cut.push_back(c);
+        }
+        break;
+      }
+      case 3:  // a removal and an addition
+        remove_one();
+        add_one();
+        break;
+    }
+    const routing::SwitchGraph next = routing::SwitchGraph::build(fabric, lids);
+    const std::size_t s_count = next.num_switches();
+    std::vector<std::uint32_t> rank(s_count);
+    for (auto& r : rank) r = static_cast<std::uint32_t>(rng.below(s_count));
+    const std::vector<std::uint8_t> expected = routing::switch_hop_matrix(next);
+    const std::vector<std::uint32_t> want =
+        first_changed_rank(hops, expected, rank);
+
+    const routing::HopMatrixUpdate update = routing::update_hop_matrix(
+        next, hops, rank, graph.adj_offset, graph.edges);
+    EXPECT_EQ(hops, expected) << "batch " << batch;
+    EXPECT_EQ(update.first_changed, want) << "batch " << batch;
+    if (::testing::Test::HasFailure()) return tally;
+
+    const auto changed = static_cast<std::size_t>(std::count_if(
+        want.begin(), want.end(),
+        [](std::uint32_t r) { return r != ~std::uint32_t{0}; }));
+    EXPECT_GE(update.rows_searched, changed) << "batch " << batch;
+    EXPECT_LE(update.rows_searched, s_count) << "batch " << batch;
+    tally.rows += s_count;
+    tally.rows_changed += changed;
+    tally.rows_searched += update.rows_searched;
+    graph = next;
+  }
+  return tally;
+}
+
+/// Deltas that changed rows, and rows left unsearched.
+void expect_selective(const HopTally& t) {
+  EXPECT_GT(t.rows_changed, 0u);
+  EXPECT_LT(t.rows_searched, t.rows);
+}
+
+TEST(HopMatrix, IrregularMatchesFreshSearch) {
+  Fabric fabric;
+  topology::build_irregular(fabric,
+                            topology::IrregularParams{.num_switches = 16,
+                                                      .hosts_per_switch = 4,
+                                                      .extra_links = 10,
+                                                      .radix = 12,
+                                                      .seed = 5});
+  expect_selective(run_random_deltas(fabric, /*seed=*/3, /*batches=*/120));
+}
+
+TEST(HopMatrix, Tree648MatchesFreshSearch) {
+  Fabric fabric;
+  topology::build_paper_fat_tree(fabric, topology::PaperFatTree::k648);
+  expect_selective(run_random_deltas(fabric, /*seed=*/4, /*batches=*/80));
+}
+
+TEST(HopMatrix, LongLineMatchesFreshSearch) {
+  // 320 switches in a line: rows saturate at 0xFE past 254 hops, and every
+  // cut disconnects.
+  Fabric fabric;
+  const auto built = topology::build_ring(fabric, 320, 2, 8);
+  fabric.disconnect(built.leaves.front(), 8);
+  expect_selective(run_random_deltas(fabric, /*seed=*/5, /*batches=*/80));
+}
+
+TEST(HopMatrix, ColdSearchesEveryRowAndNoChangeSearchesNone) {
+  Fabric fabric;
+  topology::build_paper_fat_tree(fabric, topology::PaperFatTree::k648);
+  const LidMap lids;
+  const auto graph = routing::SwitchGraph::build(fabric, lids);
+  const std::size_t s_count = graph.num_switches();
+  const std::vector<std::uint32_t> rank(s_count, 0);
+  const std::vector<std::uint8_t> fresh = routing::switch_hop_matrix(graph);
+
+  std::vector<std::uint8_t> hops;
+  auto update = routing::update_hop_matrix(graph, hops, rank,
+                                           graph.adj_offset, graph.edges);
+  EXPECT_EQ(update.rows_searched, s_count);  // no matrix yet
+  EXPECT_EQ(hops, fresh);
+  update = routing::update_hop_matrix(graph, hops, rank, {}, {});
+  EXPECT_EQ(update.rows_searched, s_count);  // no previous adjacency
+  EXPECT_EQ(hops, fresh);
+  update = routing::update_hop_matrix(graph, hops, rank, graph.adj_offset,
+                                      graph.edges);
+  EXPECT_EQ(update.rows_searched, 0u);
+  EXPECT_EQ(update.first_changed,
+            std::vector<std::uint32_t>(s_count, ~std::uint32_t{0}));
+  EXPECT_EQ(hops, fresh);
 }
 
 }  // namespace
