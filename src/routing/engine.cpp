@@ -13,7 +13,7 @@ std::unique_ptr<RoutingEngine> make_lash_engine();
 
 void RoutingEngine::recompute(const Fabric& fabric, const LidMap& lids,
                               RoutingResult& tables,
-                              const std::vector<bool>& /*written*/) {
+                              const std::vector<bool>&, HopMatrix&) {
   tables = compute(fabric, lids);
 }
 

@@ -8,9 +8,10 @@
 // Up*/Down* are implemented against it.
 //
 // An engine either computes from scratch (compute()) or rewrites the SM's
-// master tables in place (recompute()). Min-Hop does the latter: it keeps
-// what its previous run read beside the tables it wrote and re-chooses a
-// switch's ports only from the first target whose inputs changed.
+// master tables in place (recompute()). Min-Hop does the latter: it reads
+// the hop matrix the SM keeps current, keeps the target list of its
+// previous run beside the tables it wrote, and re-chooses a switch's ports
+// only from the first target whose inputs changed.
 #pragma once
 
 #include <cstdint>
@@ -42,21 +43,16 @@ struct RoutingResult {
   /// Switches whose tables this run rewrote (all of them when cold).
   std::size_t switches_rerouted = 0;
   /// Min-Hop hop-matrix rows (BFS sources) this run searched: every switch
-  /// when cold, only the rows a changed cable can reach otherwise, none
-  /// for a flap. 0 for the other engines.
+  /// when cold, otherwise only the rows a cable changed since the matrix
+  /// was last brought up to date (none for a flap, or when a topology
+  /// planner already did). 0 for the other engines.
   std::size_t hop_rows_searched = 0;
 
-  /// What the run read, kept with the tables it wrote so the next in-place
-  /// run can tell which switches' inputs changed. Only Min-Hop fills it:
-  /// the target list, the CSR adjacency and the hop matrix. The tables'
-  /// own capacity is the fourth input.
-  struct Inputs {
-    std::vector<SwitchGraph::Target> targets;
-    std::vector<std::uint32_t> adj_offset;
-    std::vector<SwitchGraph::Edge> edges;
-    std::vector<std::uint8_t> hops;  ///< switch_hop_matrix() layout
-  };
-  Inputs inputs;
+  /// The target list the run routed, kept with the tables it wrote so the
+  /// next in-place run can tell which targets changed. Only Min-Hop fills
+  /// it. Its other inputs are the hop matrix and the CSR it was computed on,
+  /// which the caller keeps (HopMatrix), and the tables' own capacity.
+  std::vector<SwitchGraph::Target> routed_targets;
 
   /// Egress port on switch `s` for `lid` (kDropPort if unrouted).
   [[nodiscard]] PortNum port_at(SwitchIdx s, Lid lid) const {
@@ -89,11 +85,14 @@ class RoutingEngine {
   /// date in place, leaving exactly what compute() would return.
   /// `written[s]` marks switch s as written since that result was computed
   /// (or added, or the whole set stale); switches past its end count as
-  /// unwritten. The default assigns a cold compute(); Min-Hop reuses every
-  /// unwritten switch's table up to the first target whose inputs changed.
+  /// unwritten. `hops` is the caller's hop matrix, kept beside `tables`:
+  /// changes since its last clear_changes() belong to this run. The default
+  /// assigns a cold compute() and ignores `hops`; Min-Hop brings `hops` up
+  /// to date and reuses every unwritten switch's table up to the first
+  /// target whose inputs changed.
   virtual void recompute(const Fabric& fabric, const LidMap& lids,
                          RoutingResult& tables,
-                         const std::vector<bool>& written);
+                         const std::vector<bool>& written, HopMatrix& hops);
 };
 
 enum class EngineKind { kMinHop, kFatTree, kUpDown, kDfsssp, kLash };

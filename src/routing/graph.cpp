@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <numeric>
 
-#include "util/expect.hpp"
 #include "util/thread_pool.hpp"
 
 namespace ibvs::routing {
@@ -18,7 +17,7 @@ constexpr std::size_t kMinSourcesPerRange = 8;
 /// Hop counts from `src` to every switch, by breadth-first search: writes
 /// row[t] for each reachable t (saturating at 0xFE). `row` holds S entries,
 /// all 0xFF (unreachable) on entry; `queue` is S entries of scratch. The one
-/// BFS kernel behind switch_hop_matrix() and update_hop_matrix().
+/// BFS kernel behind switch_hop_matrix() and HopMatrix::update().
 void bfs_hop_row(const SwitchGraph& graph, SwitchIdx src, std::uint8_t* row,
                  SwitchIdx* queue) {
   row[src] = 0;
@@ -77,13 +76,11 @@ SwitchGraph SwitchGraph::build(const Fabric& fabric, const LidMap& lids) {
     }
   }
 
-  // Reverse-edge, per-port and edge-source lookup tables.
+  // Reverse-edge and per-port lookup tables.
   g.edge_by_port.assign(g.switches.size() * 256, kNoEdge);
-  g.edge_src.resize(g.edges.size());
   for (std::size_t s = 0; s < g.switches.size(); ++s) {
     for (std::uint32_t e = g.adj_offset[s]; e < g.adj_offset[s + 1]; ++e) {
       g.edge_by_port[s * 256 + g.edges[e].out_port] = e;
-      g.edge_src[e] = static_cast<SwitchIdx>(s);
     }
   }
   g.reverse_edge.resize(g.edges.size());
@@ -129,19 +126,22 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
   return hops;
 }
 
-HopMatrixUpdate update_hop_matrix(
-    const SwitchGraph& graph, std::vector<std::uint8_t>& hops,
-    const std::vector<std::uint32_t>& rank,
-    const std::vector<std::uint32_t>& prev_offset,
-    const std::vector<SwitchGraph::Edge>& prev_edges) {
+std::size_t HopMatrix::update(const SwitchGraph& graph,
+                              const std::vector<SwitchGraph::Target>& targets) {
   const std::size_t s_count = graph.num_switches();
-  IBVS_REQUIRE(rank.size() == s_count, "one rank per switch");
+  std::vector<std::uint32_t> rank(s_count,
+                                  static_cast<std::uint32_t>(targets.size()));
+  for (std::size_t i = targets.size(); i-- > 0;) {
+    rank[targets[i].sw] = static_cast<std::uint32_t>(i);
+  }
   const bool cold =
-      hops.size() != s_count * s_count || prev_offset.size() != s_count + 1;
+      hops.size() != s_count * s_count || adj_offset.size() != s_count + 1;
   if (hops.size() != s_count * s_count) hops.assign(s_count * s_count, 0xFF);
 
   std::vector<SwitchIdx> search;
   if (cold) {
+    first_changed.resize(s_count, ~std::uint32_t{0});
+    edges_changed.assign(s_count, true);
     search.resize(s_count);
     std::iota(search.begin(), search.end(), SwitchIdx{0});
   } else {
@@ -151,10 +151,11 @@ HopMatrixUpdate update_hop_matrix(
     std::vector<std::pair<SwitchIdx, SwitchIdx>> added;
     for (std::size_t s = 0; s < s_count; ++s) {
       const auto u = static_cast<SwitchIdx>(s);
-      const auto* old_first = prev_edges.data() + prev_offset[s];
-      const auto* old_last = prev_edges.data() + prev_offset[s + 1];
+      const auto* old_first = edges.data() + adj_offset[s];
+      const auto* old_last = edges.data() + adj_offset[s + 1];
       const auto [first, last] = graph.out(u);
       if (std::equal(old_first, old_last, first, last)) continue;
+      edges_changed[s] = true;
       for (const auto* e = old_first; e != old_last; ++e) {
         if (std::find(first, last, *e) == last) removed.emplace_back(u, e->to);
       }
@@ -189,9 +190,6 @@ HopMatrixUpdate update_hop_matrix(
     }
   }
 
-  HopMatrixUpdate update;
-  update.first_changed.assign(s_count, ~std::uint32_t{0});
-  update.rows_searched = search.size();
   ThreadPool::global().parallel_ranges(
       0, search.size(), kMinSourcesPerRange,
       [&](std::size_t begin, std::size_t end) {
@@ -203,15 +201,22 @@ HopMatrixUpdate update_hop_matrix(
           bfs_hop_row(graph, src, scratch.data(), queue.data());
           std::uint8_t* row = hops.data() + std::size_t{src} * s_count;
           if (std::equal(scratch.begin(), scratch.end(), row)) continue;
-          std::uint32_t changed = ~std::uint32_t{0};
+          std::uint32_t& changed = first_changed[src];
           for (std::size_t t = 0; t < s_count; ++t) {
             if (row[t] != scratch[t]) changed = std::min(changed, rank[t]);
           }
-          update.first_changed[src] = changed;
           std::copy(scratch.begin(), scratch.end(), row);
         }
       });
-  return update;
+  adj_offset = graph.adj_offset;
+  edges = graph.edges;
+  rows_searched += search.size();
+  return search.size();
+}
+
+void HopMatrix::clear_changes() {
+  std::fill(first_changed.begin(), first_changed.end(), ~std::uint32_t{0});
+  std::fill(edges_changed.begin(), edges_changed.end(), false);
 }
 
 }  // namespace ibvs::routing

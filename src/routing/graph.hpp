@@ -52,9 +52,6 @@ struct SwitchGraph {
 
   static constexpr std::uint32_t kNoEdge = ~std::uint32_t{0};
 
-  /// Source switch of an edge (derivable from CSR; precomputed for speed).
-  std::vector<SwitchIdx> edge_src;
-
   [[nodiscard]] std::uint32_t edge_of(SwitchIdx s, PortNum port) const {
     return edge_by_port[static_cast<std::size_t>(s) * 256 + port];
   }
@@ -82,42 +79,56 @@ struct SwitchGraph {
   void rebuild_targets(const Fabric& fabric, const LidMap& lids);
 };
 
-/// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable).
-/// Used by topology transactions and journal recovery; computed by parallel
-/// BFS, one search per source through the same kernel as
-/// update_hop_matrix().
+/// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable),
+/// searched from scratch: one BFS per source, in parallel, through the same
+/// kernel as HopMatrix::update(). The reference HopMatrix is tested against.
 std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 
-/// What update_hop_matrix() changed.
-struct HopMatrixUpdate {
-  /// Per source u, the smallest `rank[t]` over the columns t whose entry
-  /// changed in row u (~0u when none did).
+/// The switch hop matrix of a graph that changes a few cables at a time,
+/// kept current in place. The subnet manager owns one beside its master
+/// tables; Min-Hop, the topology planners and journal recovery all read it.
+/// Besides the matrix it keeps the CSR the matrix was computed on and what
+/// changed since clear_changes(), which the SM calls after every routing
+/// run: the updates between two runs accumulate.
+struct HopMatrix {
+  std::vector<std::uint8_t> hops;         ///< switch_hop_matrix() layout
+  std::vector<std::uint32_t> adj_offset;  ///< CSR `hops` was computed on
+  std::vector<SwitchGraph::Edge> edges;
+  /// Per row u, the smallest rank over the columns whose entry changed
+  /// since clear_changes() (~0u when none did).
   std::vector<std::uint32_t> first_changed;
-  /// Rows searched by BFS: every row when cold, none when the adjacency is
-  /// unchanged.
-  std::size_t rows_searched = 0;
-};
+  /// Per switch: its out-edge list changed since clear_changes().
+  std::vector<bool> edges_changed;
+  /// Rows searched by BFS over every update() so far.
+  std::uint64_t rows_searched = 0;
 
-/// Brings `hops`, the switch_hop_matrix() of the earlier graph whose CSR is
-/// `prev_offset`/`prev_edges`, up to date with `graph` in place.
-///
-/// The two CSRs are diffed into the directed edges removed and added. A row
-/// with old distances d is kept without a search when every added edge u→v
-/// has d(v) ≤ d(u)+1 and every removed edge u→v with d(v) = d(u)+1 leaves
-/// v another in-neighbour w with d(w) = d(u) in `graph`: then no path got
-/// shorter and every switch kept a parent one level up. Cables are
-/// symmetric, so v's in-neighbours are its out-edge ends. A row with 0xFE
-/// (where the search saturates) at either end of a changed edge is always
-/// searched. Each searched row goes into a scratch row, is compared with
-/// the stored one, then copied over it.
-///
-/// Cold, every row is searched: when `hops` does not hold S*S entries (it
-/// is first reset to all-unreachable, so every reachable column counts as
-/// changed) or `prev_offset` does not hold S+1 offsets.
-HopMatrixUpdate update_hop_matrix(
-    const SwitchGraph& graph, std::vector<std::uint8_t>& hops,
-    const std::vector<std::uint32_t>& rank,
-    const std::vector<std::uint32_t>& prev_offset,
-    const std::vector<SwitchGraph::Edge>& prev_edges);
+  /// Brings `hops` up to date with `graph` and returns the rows it searched.
+  /// What changed is folded into `first_changed` (a running minimum) and
+  /// `edges_changed`. Column t's rank is the index of switch t's first
+  /// target in `targets` (`targets.size()` when it has none).
+  ///
+  /// The stored CSR and `graph`'s are diffed into the directed edges removed
+  /// and added. A row with old distances d is kept without a search when
+  /// every added edge u→v has d(v) ≤ d(u)+1 and every removed edge u→v with
+  /// d(v) = d(u)+1 leaves v another in-neighbour w with d(w) = d(u) in
+  /// `graph`: then no path got shorter and every switch kept a parent one
+  /// level up. Cables are symmetric, so v's in-neighbours are its out-edge
+  /// ends. A row with 0xFE (where the search saturates) at either end of a
+  /// changed edge is always searched. Each searched row goes into a scratch
+  /// row, is compared with the stored one, then copied over it.
+  ///
+  /// Cold, every row is searched and every switch's edges count as changed:
+  /// when `hops` does not hold S*S entries (it is first reset to
+  /// all-unreachable, so every reachable column counts as changed) or the
+  /// stored CSR does not hold S+1 offsets.
+  std::size_t update(const SwitchGraph& graph,
+                     const std::vector<SwitchGraph::Target>& targets);
+
+  /// Forgets what changed: a routing run has read it.
+  void clear_changes();
+
+  /// Drops the matrix, so the next update() is cold.
+  void reset() { hops.clear(); }
+};
 
 }  // namespace ibvs::routing

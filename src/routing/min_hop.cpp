@@ -10,8 +10,10 @@
 // out-edges in CSR order, its neighbours' hop-matrix rows at the target
 // switches, and the target list in LID order; its port loads never leave
 // it. So the ports it chose for the targets before the first one whose
-// inputs changed stand, and only the rest are chosen again. A cold run is
-// the same code with every switch stale.
+// inputs changed stand, and only the rest are chosen again. The hop matrix
+// is the caller's (the SM's), which records the rows and out-edges changed
+// since the last routing run. A cold run is the same code with every
+// switch stale.
 #include <algorithm>
 #include <atomic>
 
@@ -44,13 +46,14 @@ class MinHopEngine final : public RoutingEngine {
   [[nodiscard]] RoutingResult compute(const Fabric& fabric,
                                       const LidMap& lids) override {
     RoutingResult result;
-    recompute(fabric, lids, result, {});
+    HopMatrix hops;
+    recompute(fabric, lids, result, {}, hops);
     return result;
   }
 
   void recompute(const Fabric& fabric, const LidMap& lids,
-                 RoutingResult& result,
-                 const std::vector<bool>& written) override {
+                 RoutingResult& result, const std::vector<bool>& written,
+                 HopMatrix& hop_matrix) override {
     Stopwatch watch;
     result.graph = SwitchGraph::build(fabric, lids);
     result.num_vls = 1;
@@ -59,31 +62,15 @@ class MinHopEngine final : public RoutingEngine {
     const SwitchGraph& g = result.graph;
     const std::size_t s_count = g.num_switches();
     const std::size_t n = g.targets.size();
-    RoutingResult::Inputs& prev = result.inputs;
-    // Nothing is reused, the hop matrix included, without a previous run,
-    // across a change of switch set, or when every table is stale
-    // (set_engine, invalidate_routes).
-    const bool cold =
-        prev.adj_offset.size() != s_count + 1 ||
-        result.lfts.size() != s_count ||
-        (written.size() == s_count &&
-         std::find(written.begin(), written.end(), false) == written.end());
-
-    // The hop matrix is a function of the adjacency alone: only the rows
-    // the edges removed and added since the last run can change are
-    // searched (none for a flap), and every row when cold.
-    if (cold) prev.adj_offset.clear();
-    // rank[t]: index of switch t's first target. A hop change at column t
-    // first matters to a neighbour's table at that target.
-    std::vector<std::uint32_t> rank(s_count, static_cast<std::uint32_t>(n));
-    for (std::size_t i = n; i-- > 0;) {
-      rank[g.targets[i].sw] = static_cast<std::uint32_t>(i);
-    }
-    const HopMatrixUpdate hop_update =
-        update_hop_matrix(g, prev.hops, rank, prev.adj_offset, prev.edges);
-    const std::vector<std::uint32_t>& row_changed = hop_update.first_changed;
-    const std::vector<std::uint8_t>& hops = prev.hops;
-    const std::vector<SwitchGraph::Target>& old_targets = prev.targets;
+    const std::vector<SwitchGraph::Target>& old_targets = result.routed_targets;
+    // Only the hop rows the cables changed since the matrix was last
+    // brought up to date are searched (none for a flap; every row after
+    // the caller dropped it). A change at column t first matters to a
+    // neighbour's table at switch t's first target; ranks over the last
+    // run's list are exact below `same_targets`, where the lists agree.
+    result.hop_rows_searched = hop_matrix.update(g, old_targets);
+    const std::vector<std::uint32_t>& row_changed = hop_matrix.first_changed;
+    const std::vector<std::uint8_t>& hops = hop_matrix.hops;
     // Targets before `same_targets` are unchanged (lid, switch, port).
     std::size_t same_targets = 0;
     while (same_targets < std::min(n, old_targets.size()) &&
@@ -104,12 +91,9 @@ class MinHopEngine final : public RoutingEngine {
             const auto [first, last] = g.out(static_cast<SwitchIdx>(s));
             // Targets before `keep` keep the ports this table holds.
             std::size_t keep = 0;
-            const bool stale =
-                cold || (s < written.size() && written[s]) ||
-                lft.capacity() != capacity ||
-                !std::equal(first, last,
-                            prev.edges.begin() + prev.adj_offset[s],
-                            prev.edges.begin() + prev.adj_offset[s + 1]);
+            const bool stale = (s < written.size() && written[s]) ||
+                               hop_matrix.edges_changed[s] ||
+                               lft.capacity() != capacity;
             if (!stale) {
               keep = same_targets;
               for (const auto* e = first; e != last; ++e) {
@@ -171,11 +155,8 @@ class MinHopEngine final : public RoutingEngine {
           rerouted.fetch_add(rerouted_here, std::memory_order_relaxed);
         });
 
-    prev.targets = g.targets;
-    prev.adj_offset = g.adj_offset;
-    prev.edges = g.edges;
+    result.routed_targets = g.targets;
     result.switches_rerouted = rerouted.load();
-    result.hop_rows_searched = hop_update.rows_searched;
     result.compute_seconds = watch.elapsed_seconds();
   }
 };

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "routing/graph.hpp"
 #include "sm/delta_txn.hpp"
 #include "sm/topology_txn.hpp"
 #include "telemetry/metrics.hpp"
@@ -44,17 +43,18 @@ struct JournalMetrics {
 /// re-plugging a detach subject the sweep saw severed (its LID column is
 /// all-drop) or severing attach cables the sweep routed through. The
 /// recorded inverse deltas cannot fix that: they were taken against the
-/// *dying* master's tables. Recompute exactly the affected columns from BFS
-/// on the restored graph. Roll-forward needs no such pass (the journaled
-/// deltas are valid for the fully-mutated fabric), so the common recovery
-/// path stays free of route recomputation.
+/// *dying* master's tables. Recompute exactly the affected columns from the
+/// SM's hop matrix, brought up to date with the restored graph.
+/// Roll-forward needs no such pass (the journaled deltas are valid for the
+/// fully-mutated fabric), so the common recovery path stays free of route
+/// recomputation.
 void repair_rolled_back_routes(
     SubnetManager& sm, const std::vector<const TopologyPayload*>& rolled) {
   if (rolled.empty()) return;
   Fabric& fabric = sm.fabric();
   const auto& result = sm.routing_result();
   const auto& g = result.graph;
-  const auto hops = routing::switch_hop_matrix(g);
+  const auto& hops = sm.hop_matrix();
   for (const TopologyPayload* r : rolled) {
     const bool removed_cables =
         r->op == TopologyOp::kAttachSwitch || r->op == TopologyOp::kAddLink;
@@ -340,6 +340,7 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   auto span = telemetry::Tracer::global().span(
       "journal.recover",
       {{"in_flight", std::to_string(report.in_flight)}});
+  const std::uint64_t hop_rows_before = sm.hop_rows_searched();
 
   // An in-flight topology delta means the cabling the recovering SM swept
   // may already be mid-mutation: adopt the current structure first so dense
@@ -382,6 +383,8 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   span.set_attr("rolled_forward", std::to_string(report.rolled_forward));
   span.set_attr("rolled_back", std::to_string(report.rolled_back));
   span.set_attr("smps", std::to_string(report.redistribution.smps));
+  span.set_attr("hop_rows_searched",
+                std::to_string(sm.hop_rows_searched() - hop_rows_before));
   return report;
 }
 

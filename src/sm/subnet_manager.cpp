@@ -71,6 +71,15 @@ void SubnetManager::set_engine(
 
 void SubnetManager::invalidate_routes() {
   written_.assign(routing_.lfts.size(), true);
+  hop_matrix_.reset();
+}
+
+const std::vector<std::uint8_t>& SubnetManager::hop_matrix() {
+  IBVS_REQUIRE(routing_ready_, "no master tables yet");
+  // Ranked over the last routing run's targets, like that run's own
+  // update: the changes accumulate until the next run reads them.
+  hop_matrix_.update(routing_.graph, routing_.routed_targets);
+  return hop_matrix_.hops;
 }
 
 DiscoveryReport SubnetManager::discover() {
@@ -195,13 +204,14 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
   auto span = telemetry::Tracer::global().span(
       "sm.path_computation", {{"engine", std::string(engine_->name())}});
   try {
-    engine_->recompute(fabric_, lids_, routing_, written_);
+    engine_->recompute(fabric_, lids_, routing_, written_, hop_matrix_);
   } catch (...) {
     // A run cut short may leave some tables rewritten and others not.
     invalidate_routes();
     throw;
   }
   written_.assign(routing_.lfts.size(), false);
+  hop_matrix_.clear_changes();
   routing_ready_ = true;
   ++generation_;
   auto& metrics = SweepMetrics::get();

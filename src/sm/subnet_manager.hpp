@@ -97,15 +97,28 @@ class SubnetManager {
 
   /// Runs the routing engine over the master tables in place
   /// (RoutingEngine::recompute), handing it the switches whose tables were
-  /// written since the last run: update_master_entry(), switches added by
+  /// written since the last run — update_master_entry(), switches added by
   /// adopt_topology_change(), or every switch after set_engine() or
-  /// invalidate_routes(). Min-Hop re-chooses ports only where its inputs
-  /// changed; the tables equal a cold run's either way.
+  /// invalidate_routes() — and the SM's hop matrix. Min-Hop re-chooses
+  /// ports only where its inputs changed; the tables equal a cold run's
+  /// either way.
   const routing::RoutingResult& compute_routes();
 
-  /// Marks every master table as written, so the next compute_routes()
-  /// recomputes every switch: the full recompute OpenSM runs.
+  /// Marks every master table as written and drops the hop matrix, so the
+  /// next compute_routes() recomputes every switch and searches every hop
+  /// row: the full recompute OpenSM runs.
   void invalidate_routes();
+
+  /// The switch hop matrix of routing_result().graph (switch_hop_matrix()
+  /// layout), brought up to date on demand by searching only the rows the
+  /// cables changed since it was last current. The topology planners and
+  /// journal recovery read it; routing runs update the same matrix.
+  const std::vector<std::uint8_t>& hop_matrix();
+
+  /// Hop-matrix rows searched so far, by routing runs and hop_matrix().
+  [[nodiscard]] std::uint64_t hop_rows_searched() const noexcept {
+    return hop_matrix_.rows_searched;
+  }
 
   /// Sends every master LFT block that differs from the installed one.
   /// Switches with no path from the SM are skipped (like reconverge():
@@ -220,6 +233,9 @@ class SubnetManager {
   fabric::SmpTransport transport_;
   std::unique_ptr<routing::RoutingEngine> engine_;
   routing::RoutingResult routing_;
+  /// Beside routing_, not in it: an engine's cold compute() replaces
+  /// routing_ wholesale.
+  routing::HopMatrix hop_matrix_;
   /// Per master table: written since the last compute_routes().
   std::vector<bool> written_;
   /// Switches seen unreachable by distribution_round(). On a real fabric a

@@ -313,7 +313,7 @@ void TopologyTxnManager::plan_attach(TopologyTxn& txn,
   const auto& g = routing.graph;
   const routing::SwitchIdx me = g.dense(txn.subject);
   IBVS_ENSURE(me != routing::kNoSwitch, "attach subject missing from graph");
-  const auto hops = routing::switch_hop_matrix(g);
+  const auto& hops = sm_.hop_matrix();
   // 1) Every other switch learns the route toward the new switch's LID.
   for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
     if (s == me) continue;
@@ -342,7 +342,7 @@ void TopologyTxnManager::plan_detach(TopologyTxn& txn,
   const auto& g = routing.graph;
   const routing::SwitchIdx me = g.dense(txn.subject);
   IBVS_ENSURE(me != routing::kNoSwitch, "detach subject missing from graph");
-  const auto hops = routing::switch_hop_matrix(g);
+  const auto& hops = sm_.hop_matrix();
 
   // A route transits the subject iff some ex-neighbor forwards out of the
   // port its severed cable used to occupy; the recorded cable list is the
@@ -387,7 +387,7 @@ void TopologyTxnManager::plan_remove_link(
   const routing::SwitchIdx sb = g.dense(cable.b);
   IBVS_ENSURE(sa != routing::kNoSwitch && sb != routing::kNoSwitch,
               "removed link endpoints missing from graph");
-  const auto hops = routing::switch_hop_matrix(g);
+  const auto& hops = sm_.hop_matrix();
 
   for (const Lid lid : sm_.lids().assigned_lids()) {
     const bool uses_link = routing.lfts[sa].get(lid) == cable.port_a ||
@@ -405,6 +405,7 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
                "mutate the topology before rerouting");
   auto span = telemetry::Tracer::global().span(
       "topology.reroute", {{"op", std::string(to_string(txn.op))}});
+  const std::uint64_t hop_rows_before = sm_.hop_rows_searched();
   Fabric& fabric = sm_.fabric();
   auto& transport = sm_.transport();
   // Adopt the mutated structure without a routing run: dense indices are
@@ -524,6 +525,8 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
   span.set_attr("lft_smps", std::to_string(txn.stats.lft_smps));
   span.set_attr("switches_updated",
                 std::to_string(txn.stats.switches_updated));
+  span.set_attr("hop_rows_searched",
+                std::to_string(sm_.hop_rows_searched() - hop_rows_before));
 }
 
 void TopologyTxnManager::txn_commit(TopologyTxn& txn) {

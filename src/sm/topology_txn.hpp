@@ -114,7 +114,7 @@ struct TopologyApplyOptions {
 };
 
 /// BFS-column helpers shared by the transaction planner and the journal's
-/// post-rollback route repair. `hops` is routing::switch_hop_matrix output.
+/// post-rollback route repair. `hops` is SubnetManager::hop_matrix().
 /// repair_port_toward returns the first adjacency-order egress port of `s`
 /// on a shortest path toward `t` (kDropPort when unreachable or s == t);
 /// repair_route_column builds the full per-switch forwarding column for a

@@ -363,6 +363,48 @@ TEST(RouteReuse, FlapRoundTripReroutesNothing) {
   expect_matches_cold(*s->sm, "after the restore");
 }
 
+TEST(RouteReuse, EveryTableWrittenSearchesNoHopRowForAFlap) {
+  // Writes make tables stale, not the hop matrix: only set_engine and
+  // invalidate_routes drop it. Every table is recomputed, no row searched.
+  auto s = Subnet::tree648();
+  const routing::RoutingResult& master = s->sm->routing_result();
+  const std::size_t switches = master.lfts.size();
+  const Lid lid = master.graph.targets.back().lid;
+  for (routing::SwitchIdx sw = 0; sw < switches; ++sw) {
+    s->sm->update_master_entry(sw, lid, kDropPort);
+  }
+  const CableSpec c = switch_cables(s->fabric).front();
+  ASSERT_TRUE(s->injector->flap_link(c.a, c.port_a));
+  s->sm->reconverge();
+  EXPECT_EQ(master.hop_rows_searched, 0u);
+  EXPECT_EQ(master.switches_rerouted, switches);
+  expect_matches_cold(*s->sm, "after the flap");
+}
+
+TEST(RouteReuse, RoutingReadsTheMatrixAPlannerUpdated) {
+  // A committed remove_link brings the SM's hop matrix up to date for its
+  // planner; the next routing run searches no row, yet re-chooses from
+  // every row the planner's update changed.
+  auto s = Subnet::tree648();
+  const std::size_t switches = s->sm->routing_result().lfts.size();
+  const NodeId leaf = s->built.leaves[7];
+  const auto cables = switch_cables(s->fabric);
+  const CableSpec c = *std::find_if(
+      cables.begin(), cables.end(),
+      [&](const CableSpec& x) { return x.a == leaf || x.b == leaf; });
+
+  const std::uint64_t rows_before = s->sm->hop_rows_searched();
+  ASSERT_EQ(s->topo->remove_link(c.a, c.port_a).state,
+            sm::TopologyTxnState::kCommitted);
+  const std::uint64_t planner_rows = s->sm->hop_rows_searched() - rows_before;
+  EXPECT_GT(planner_rows, 0u);
+  EXPECT_LT(planner_rows, switches);
+
+  s->sm->compute_routes();
+  EXPECT_EQ(s->sm->routing_result().hop_rows_searched, 0u);
+  expect_matches_cold(*s->sm, "after the remove_link");
+}
+
 /// Rows of the hop matrix that differ between two graphs of one switch set.
 std::size_t hop_rows_changed(const routing::SwitchGraph& before,
                              const routing::SwitchGraph& after) {

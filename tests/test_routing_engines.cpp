@@ -207,7 +207,7 @@ TEST(FatTreeMultipath, DistinctLidsSameLeafCanUseDifferentSpines) {
   EXPECT_GT(used.size(), 1u);
 }
 
-// update_hop_matrix() against a fresh switch_hop_matrix() after random
+// HopMatrix::update() against a fresh switch_hop_matrix() after random
 // batches of cable changes: one cable, several, all of one switch's, and a
 // removal with an addition. A long line saturates the search (0xFE) and
 // cuts disconnect it.
@@ -233,19 +233,25 @@ std::vector<std::uint32_t> first_changed_rank(
 struct HopTally {
   std::size_t rows = 0;           ///< rows over all batches
   std::size_t rows_changed = 0;   ///< rows whose entries changed
-  std::size_t rows_searched = 0;  ///< rows update_hop_matrix() searched
+  std::size_t rows_searched = 0;  ///< rows HopMatrix::update() searched
 };
 
 /// Runs `batches` random batches of cable changes on `fabric`. After each,
-/// the matrix brought up to date by update_hop_matrix() must equal a fresh
-/// switch_hop_matrix(), and its first-changed ranks the brute force's.
+/// the matrix brought up to date by HopMatrix::update() must equal a fresh
+/// switch_hop_matrix(), its first-changed ranks the brute force's and its
+/// changed edges a per-switch comparison. Every third batch piles onto the
+/// previous one without clear_changes(): the ranks must then be the
+/// running minimum over both batches, each under its own targets.
 HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
                            std::size_t batches) {
   SplitMix64 rng(seed);
-  const LidMap lids;  // the hop matrix ignores targets
+  const LidMap lids;  // no LIDs: the batches hand the matrix their own targets
   const std::vector<NodeId> ids = fabric.switch_ids();
   routing::SwitchGraph graph = routing::SwitchGraph::build(fabric, lids);
-  std::vector<std::uint8_t> hops = routing::switch_hop_matrix(graph);
+  routing::HopMatrix matrix;
+  matrix.update(graph, {});
+  std::vector<std::uint32_t> want_ranks;  // expected first_changed
+  std::vector<bool> want_edges;           // expected edges_changed
   std::vector<CableSpec> cut;  // removed cables, to plug back later
   HopTally tally;
 
@@ -299,26 +305,50 @@ HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
     }
     const routing::SwitchGraph next = routing::SwitchGraph::build(fabric, lids);
     const std::size_t s_count = next.num_switches();
-    std::vector<std::uint32_t> rank(s_count);
-    for (auto& r : rank) r = static_cast<std::uint32_t>(rng.below(s_count));
+    // Targets at random switches: column t ranks at switch t's first one.
+    std::vector<routing::SwitchGraph::Target> targets(s_count);
+    for (auto& t : targets) {
+      t.sw = static_cast<routing::SwitchIdx>(rng.below(s_count));
+    }
+    std::vector<std::uint32_t> rank(s_count,
+                                    static_cast<std::uint32_t>(s_count));
+    for (std::size_t i = s_count; i-- > 0;) {
+      rank[targets[i].sw] = static_cast<std::uint32_t>(i);
+    }
     const std::vector<std::uint8_t> expected = routing::switch_hop_matrix(next);
     const std::vector<std::uint32_t> want =
-        first_changed_rank(hops, expected, rank);
+        first_changed_rank(matrix.hops, expected, rank);
+    std::vector<bool> moved(s_count);
+    for (routing::SwitchIdx s = 0; s < s_count; ++s) {
+      const auto [a, b] = graph.out(s);
+      const auto [c, d] = next.out(s);
+      moved[s] = !std::equal(a, b, c, d);
+    }
+    if (batch % 3 == 2) {
+      for (std::size_t s = 0; s < s_count; ++s) {
+        want_ranks[s] = std::min(want_ranks[s], want[s]);
+        want_edges[s] = want_edges[s] || moved[s];
+      }
+    } else {
+      matrix.clear_changes();
+      want_ranks = want;
+      want_edges = moved;
+    }
 
-    const routing::HopMatrixUpdate update = routing::update_hop_matrix(
-        next, hops, rank, graph.adj_offset, graph.edges);
-    EXPECT_EQ(hops, expected) << "batch " << batch;
-    EXPECT_EQ(update.first_changed, want) << "batch " << batch;
+    const std::size_t searched = matrix.update(next, targets);
+    EXPECT_EQ(matrix.hops, expected) << "batch " << batch;
+    EXPECT_EQ(matrix.first_changed, want_ranks) << "batch " << batch;
+    EXPECT_EQ(matrix.edges_changed, want_edges) << "batch " << batch;
     if (::testing::Test::HasFailure()) return tally;
 
     const auto changed = static_cast<std::size_t>(std::count_if(
         want.begin(), want.end(),
         [](std::uint32_t r) { return r != ~std::uint32_t{0}; }));
-    EXPECT_GE(update.rows_searched, changed) << "batch " << batch;
-    EXPECT_LE(update.rows_searched, s_count) << "batch " << batch;
+    EXPECT_GE(searched, changed) << "batch " << batch;
+    EXPECT_LE(searched, s_count) << "batch " << batch;
     tally.rows += s_count;
     tally.rows_changed += changed;
-    tally.rows_searched += update.rows_searched;
+    tally.rows_searched += searched;
     graph = next;
   }
   return tally;
@@ -362,23 +392,27 @@ TEST(HopMatrix, ColdSearchesEveryRowAndNoChangeSearchesNone) {
   const LidMap lids;
   const auto graph = routing::SwitchGraph::build(fabric, lids);
   const std::size_t s_count = graph.num_switches();
-  const std::vector<std::uint32_t> rank(s_count, 0);
   const std::vector<std::uint8_t> fresh = routing::switch_hop_matrix(graph);
+  const std::vector<bool> every(s_count, true);
 
-  std::vector<std::uint8_t> hops;
-  auto update = routing::update_hop_matrix(graph, hops, rank,
-                                           graph.adj_offset, graph.edges);
-  EXPECT_EQ(update.rows_searched, s_count);  // no matrix yet
-  EXPECT_EQ(hops, fresh);
-  update = routing::update_hop_matrix(graph, hops, rank, {}, {});
-  EXPECT_EQ(update.rows_searched, s_count);  // no previous adjacency
-  EXPECT_EQ(hops, fresh);
-  update = routing::update_hop_matrix(graph, hops, rank, graph.adj_offset,
-                                      graph.edges);
-  EXPECT_EQ(update.rows_searched, 0u);
-  EXPECT_EQ(update.first_changed,
+  routing::HopMatrix matrix;
+  EXPECT_EQ(matrix.update(graph, {}), s_count);  // no matrix yet
+  EXPECT_EQ(matrix.hops, fresh);
+  EXPECT_EQ(matrix.edges_changed, every);
+  matrix.adj_offset.clear();
+  EXPECT_EQ(matrix.update(graph, {}), s_count);  // no previous adjacency
+  EXPECT_EQ(matrix.hops, fresh);
+  matrix.clear_changes();
+  EXPECT_EQ(matrix.update(graph, {}), 0u);
+  EXPECT_EQ(matrix.first_changed,
             std::vector<std::uint32_t>(s_count, ~std::uint32_t{0}));
-  EXPECT_EQ(hops, fresh);
+  EXPECT_EQ(matrix.edges_changed, std::vector<bool>(s_count, false));
+  EXPECT_EQ(matrix.hops, fresh);
+  matrix.reset();  // dropped, as invalidate_routes() does
+  EXPECT_EQ(matrix.update(graph, {}), s_count);
+  EXPECT_EQ(matrix.hops, fresh);
+  EXPECT_EQ(matrix.edges_changed, every);
+  EXPECT_EQ(matrix.rows_searched, 3 * s_count);
 }
 
 }  // namespace

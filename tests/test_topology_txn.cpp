@@ -21,6 +21,7 @@
 #include "sm/election.hpp"
 #include "sm/topology_txn.hpp"
 #include "tests/helpers.hpp"
+#include "util/rng.hpp"
 
 namespace ibvs {
 namespace {
@@ -302,6 +303,136 @@ TEST(TopologyTxn, BridgeRemovalFailsAndRollsBack) {
   EXPECT_EQ(installed_lfts(fabric), lfts_before);
 
   const inject::FabricChecker checker(*t.s.sm);
+  EXPECT_TRUE(checker.check(t.s.vsf.get()).clean());
+}
+
+// ---------------------------------------------------------------------------
+// The SM's one hop matrix: planners, journal recovery and routing runs all
+// update it, and on demand it is always the matrix of the SM's graph.
+
+TEST(TopologyTxn, HopMatrixStaysCurrent) {
+  Txns t;
+  Fabric& fabric = t.s.fabric;
+  sm::SubnetManager& sm = *t.s.sm;
+  sm::ReconfigJournal& journal = t.s.vsf->journal();
+  SplitMix64 rng(21);
+  // Leaves that host no endpoint, attached or cable-free.
+  std::vector<NodeId> attached{t.s.built.leaves[3]};
+  std::vector<NodeId> cable_free;
+  std::size_t attaches = 0, detaches = 0, adds = 0, removes = 0;
+  std::size_t rolled_back = 0, recovered = 0;
+
+  const auto random_cable = [&] {
+    const auto cables = test::switch_cables(fabric);
+    return cables[rng.below(cables.size())];
+  };
+  for (std::size_t step = 0; step < 80; ++step) {
+    const std::uint64_t kind = rng.below(6);
+    try {
+      switch (kind) {
+        case 0: {  // attach a leaf to one spine or both
+          NodeId sw;
+          if (cable_free.empty()) {
+            sw = fabric.add_switch("spare-" + std::to_string(step), 8);
+          } else {
+            sw = cable_free.back();
+            cable_free.pop_back();
+          }
+          std::vector<CableSpec> cables;
+          for (const NodeId spine : t.s.built.spines) {
+            const auto port = fabric.free_port(spine);
+            if (port && (cables.empty() || rng.below(2) == 0)) {
+              cables.push_back(
+                  {sw, static_cast<PortNum>(cables.size() + 1), spine, *port});
+            }
+          }
+          if (cables.empty()) {
+            cable_free.push_back(sw);
+            break;
+          }
+          try {
+            t.topo.attach_switch(sw, cables);
+          } catch (const sm::TopologyError&) {
+            cable_free.push_back(sw);
+            throw;
+          }
+          attached.push_back(sw);
+          ++attaches;
+          break;
+        }
+        case 1: {  // detach an endpoint-free leaf
+          if (attached.empty()) break;
+          const std::size_t i = rng.below(attached.size());
+          const NodeId sw = attached[i];
+          t.topo.detach_switch(sw);
+          attached.erase(attached.begin() + static_cast<std::ptrdiff_t>(i));
+          cable_free.push_back(sw);
+          ++detaches;
+          break;
+        }
+        case 2: {  // a chord between two switches with free ports
+          const auto ids = sm.routing_result().graph.switches;
+          const NodeId a = ids[rng.below(ids.size())];
+          const NodeId b = ids[rng.below(ids.size())];
+          const auto pa = fabric.free_port(a);
+          const auto pb = fabric.free_port(b);
+          if (a == b || !pa || !pb || fabric.cables_of(a).empty() ||
+              fabric.cables_of(b).empty()) {
+            break;
+          }
+          t.topo.add_link({a, *pa, b, *pb});
+          ++adds;
+          break;
+        }
+        case 3: {  // remove a cable; a bridge rolls back
+          const CableSpec c = random_cable();
+          t.topo.remove_link(c.a, c.port_a);
+          ++removes;
+          break;
+        }
+        case 4: {  // rerouted, then rolled back by hand
+          const CableSpec c = random_cable();
+          auto txn = t.topo.begin_remove_link(c.a, c.port_a);
+          t.topo.txn_mutate(txn);
+          try {
+            t.topo.txn_reroute(txn);
+          } catch (const sm::TopologyError&) {
+          }
+          t.topo.txn_rollback(txn);
+          ++rolled_back;
+          break;
+        }
+        case 5: {  // the master dies after the mutation or mid-apply
+          const CableSpec c = random_cable();
+          auto txn = t.topo.begin_remove_link(c.a, c.port_a);
+          t.topo.txn_mutate(txn);
+          if (rng.below(2) == 0) {
+            try {
+              t.topo.txn_reroute(txn, {.abort_after_smps = 1});
+            } catch (const sm::TopologyError&) {
+            }
+          }
+          EXPECT_EQ(journal.recover(sm).in_flight, 1u);
+          ++recovered;
+          break;
+        }
+      }
+    } catch (const sm::TopologyError&) {
+      ++rolled_back;  // the one-shot call rolled itself back
+    }
+    if (rng.below(3) == 0) sm.reconverge();
+    ASSERT_EQ(sm.hop_matrix(),
+              routing::switch_hop_matrix(sm.routing_result().graph))
+        << "step " << step << ", kind " << kind;
+  }
+  EXPECT_GT(attaches, 0u);
+  EXPECT_GT(detaches, 0u);
+  EXPECT_GT(adds, 0u);
+  EXPECT_GT(removes, 0u);
+  EXPECT_GT(rolled_back, 0u);
+  EXPECT_GT(recovered, 0u);
+  EXPECT_EQ(journal.in_flight(), 0u);
+  const inject::FabricChecker checker(sm);
   EXPECT_TRUE(checker.check(t.s.vsf.get()).clean());
 }
 
