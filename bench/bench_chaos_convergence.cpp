@@ -22,13 +22,11 @@ namespace {
 using namespace ibvs;
 
 std::uint64_t g_seed = 7;  ///< default; override with --seed
-bool g_migration_faults = false;  ///< --migration-faults
-bool g_topology_faults = false;   ///< --topology-faults
+bool g_topology_faults = false;  ///< --topology-faults
 
-/// Strips the valueless flag `name` from argv. --migration-faults adds
-/// destination/master kills mid-migration (rollback + journal replay);
-/// --topology-faults adds live attach/detach deltas plus their fault
-/// twins (switch killed mid-attach, master killed mid-detach).
+/// Strips the valueless flag `name` from argv. --topology-faults adds live
+/// attach/detach deltas. Crashes inside transactions are swept
+/// exhaustively by the CrashPoint test suite, not sampled here.
 bool consume_flag(int& argc, char** argv, std::string_view name) {
   bool found = false;
   int out = 1;
@@ -79,9 +77,8 @@ bench::VirtualBench make_tree(topology::PaperFatTree which) {
 void print_table() {
   std::printf(
       "\nChaos re-convergence: %zu seeded events per run (cuts, flaps, "
-      "switch kills, migrations%s%s), seed=%llu\n",
-      kSteps, g_migration_faults ? ", migration faults" : "",
-      g_topology_faults ? ", topology deltas" : "",
+      "switch kills, migrations%s), seed=%llu\n",
+      kSteps, g_topology_faults ? ", topology deltas" : "",
       static_cast<unsigned long long>(g_seed));
   std::printf("%-28s %7s %7s %7s %8s %9s %9s %13s %7s %5s %-18s\n", "tree",
               "drop-p", "events", "rounds", "smps", "retries", "timeouts",
@@ -89,8 +86,6 @@ void print_table() {
   bench::rule(128);
 
   std::size_t tree_idx = 0;
-  std::size_t txn_commits = 0;
-  std::size_t txn_rollbacks = 0;
   std::size_t topo_commits = 0;
   std::size_t topo_rollbacks = 0;
   for (const auto which : bench::selected_paper_trees()) {
@@ -103,19 +98,11 @@ void print_table() {
       config.seed = g_seed + 101 * tree_idx + r;
       config.steps = kSteps;
       config.mad_faults.drop_probability = kFaultRates[r];
-      if (g_migration_faults) {
-        config.weight_kill_dst_mid_migration = 2;
-        config.weight_kill_master_mid_reconfig = 2;
-      }
       if (g_topology_faults) {
         config.weight_attach_switch = 2;
         config.weight_detach_switch = 2;
-        config.weight_kill_switch_mid_attach = 1;
-        config.weight_kill_master_mid_detach = 1;
       }
       const auto report = inject::run_chaos(cloud, injector, config);
-      txn_commits += report.migration_commits;
-      txn_rollbacks += report.migration_rollbacks;
       topo_commits += report.topology_commits;
       topo_rollbacks += report.topology_rollbacks;
       std::printf(
@@ -135,12 +122,6 @@ void print_table() {
     ++tree_idx;
   }
   bench::rule(128);
-  if (g_migration_faults) {
-    std::printf(
-        "migration txns under fault: committed=%zu rolled_back=%zu "
-        "(every transaction terminal)\n",
-        txn_commits, txn_rollbacks);
-  }
   if (g_topology_faults) {
     std::printf(
         "topology txns under fault: committed=%zu rolled_back=%zu "
@@ -203,7 +184,6 @@ int main(int argc, char** argv) {
   const auto trace_out = ibvs::bench::consume_trace_out(argc, argv);
   ibvs::bench::consume_threads(argc, argv);
   g_seed = ibvs::bench::consume_seed(argc, argv, g_seed);
-  g_migration_faults = consume_flag(argc, argv, "--migration-faults");
   g_topology_faults = consume_flag(argc, argv, "--topology-faults");
   print_table();
   benchmark::Initialize(&argc, argv);

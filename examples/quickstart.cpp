@@ -156,30 +156,6 @@ int main(int argc, char** argv) {
     std::printf("chaos verdict: %s\n",
                 chaos_ok ? "fabric recovered after every event"
                          : "INVARIANT VIOLATIONS");
-
-    // Second pass: migration faults. The same subnet now also loses the
-    // destination hypervisor mid-migration and the master SM mid-LFT-batch;
-    // the transactional flow must leave every migration committed or rolled
-    // back (journal replayed), never in between, with the checker clean.
-    cloud::CloudOrchestrator chaos_orch(chaos_cloud, cloud::Placement::kSpread);
-    inject::FaultInjector mig_injector(chaos_fabric, /*seed=*/9);
-    inject::ChaosConfig mig_config;
-    mig_config.seed = 9;
-    mig_config.steps = 12;
-    mig_config.mad_faults.drop_probability = 0.02;
-    mig_config.weight_kill_dst_mid_migration = 3;
-    mig_config.weight_kill_master_mid_reconfig = 3;
-    const auto mig_report =
-        inject::run_chaos(chaos_orch, mig_injector, mig_config);
-    std::printf("\n--- chaos with migration faults (seed=9) ---\n%s",
-                inject::to_string(mig_report).c_str());
-    const bool txns_terminal =
-        mig_report.migration_commits + mig_report.migration_rollbacks > 0;
-    chaos_ok = chaos_ok && mig_report.checker_violations == 0 &&
-               mig_report.all_converged && txns_terminal;
-    std::printf("migration-fault verdict: %s\n",
-                chaos_ok ? "every transaction terminal, invariants hold"
-                         : "INVARIANT VIOLATIONS");
   }
 
   // 12. Everything above also updated the process-wide telemetry registry:

@@ -235,12 +235,6 @@ class CloudOrchestrator {
     std::uint64_t blocked_before = 0;
     std::uint64_t blocked_during = 0;
     std::uint64_t blocked_after = 0;
-
-    /// Extra blocking the migration transient inflicted on this link.
-    [[nodiscard]] std::int64_t transient_delta() const noexcept {
-      return static_cast<std::int64_t>(blocked_during) -
-             static_cast<std::int64_t>(blocked_before);
-    }
   };
 
   struct ProbeOptions {

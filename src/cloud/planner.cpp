@@ -14,6 +14,9 @@ namespace ibvs::cloud {
 
 namespace {
 
+/// Re-plans one execute() runs at most after passes with failures.
+constexpr std::size_t kMaxReplans = 2;
+
 struct PlannerMetrics {
   telemetry::Counter& plans;
   telemetry::Counter& moves_copy;
@@ -231,8 +234,7 @@ std::vector<MigrationPlanner::RawMove> MigrationPlanner::moves_for(
       for (const std::size_t h : order) {
         if (covered >= tenant_ids.size()) break;
         is_target[h] = 1;
-        covered += tenant_count[h] + free[h] +
-                   (options_.allow_swaps ? swap_peers[h].size() : 0);
+        covered += tenant_count[h] + free[h] + swap_peers[h].size();
       }
 
       for (const std::uint32_t id : tenant_ids) {
@@ -247,7 +249,7 @@ std::vector<MigrationPlanner::RawMove> MigrationPlanner::moves_for(
             placed = true;
             break;
           }
-          if (options_.allow_swaps && !swap_peers[t].empty()) {
+          if (!swap_peers[t].empty()) {
             const std::uint32_t peer = swap_peers[t].front();
             swap_peers[t].erase(swap_peers[t].begin());
             moves.push_back({core::VmHandle{id}, src, t,
@@ -297,8 +299,7 @@ std::vector<MigrationPlanner::RawMove> MigrationPlanner::moves_for(
         for (std::size_t c = 0; c < hyps.size(); ++c) {
           if (c == h || score[c] >= score[h] || !attached(c)) continue;
           const bool can_copy = free[c] > 0;
-          const bool can_swap = options_.allow_swaps &&
-                                swap_cursor[c] < on_host[c].size();
+          const bool can_swap = swap_cursor[c] < on_host[c].size();
           if (!can_copy && !can_swap) continue;
           if (!dst || cooler(c, *dst)) {
             dst = c;
@@ -415,10 +416,6 @@ MigrationPlan MigrationPlanner::plan(const FleetGoal& goal) const {
   for (auto& m : moves) {
     bool placed = false;
     for (auto& batch : plan.batches) {
-      if (options_.max_batch_size > 0 &&
-          batch.moves.size() >= options_.max_batch_size) {
-        continue;
-      }
       const bool clash = std::any_of(
           batch.moves.begin(), batch.moves.end(),
           [&](const PlannedMove& other) { return conflicts(m, other); });
@@ -530,7 +527,7 @@ FleetExecution PlanExecutor::execute(const MigrationPlanner& planner,
     }
 
     if (!any_failure || !policy.replan_on_failure ||
-        out.replans >= policy.max_replans) {
+        out.replans >= kMaxReplans) {
       break;
     }
     // The goals are state-derived, so planning again against the live

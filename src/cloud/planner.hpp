@@ -10,6 +10,9 @@
 // bound total cost and transient interference).
 //
 // MigrationPlanner turns a FleetGoal into a MigrationPlan of *batches*.
+// Consolidation and rebalancing emit a fused destination-swap move when the
+// preferred target is full; an evacuation never does (it must not park the
+// peer on the host being drained). Batches are unbounded in size.
 // Moves inside a batch are pairwise conflict-free and may overlap in time;
 // conflicting moves are ordered across batches, hottest exposure first, so
 // congested uplinks are relieved as early as possible.
@@ -123,12 +126,6 @@ class MigrationPlanner {
  public:
   struct Options {
     core::ReconfigMode mode = core::ReconfigMode::kMinimal;
-    /// Emit fused destination-swap moves when the preferred target is full
-    /// (consolidation / rebalancing only — an evacuation must not park the
-    /// peer on the host being drained).
-    bool allow_swaps = true;
-    /// Cap on moves per batch (0 = unbounded).
-    std::size_t max_batch_size = 0;
     /// Plan for uncoordinated emission: batch members' SMP streams may
     /// interleave (multiple agents, no serialization), so moves whose
     /// predicted writes share a (switch, LFT-block) SMP unit additionally
@@ -195,7 +192,6 @@ struct ExecutorPolicy {
   /// fabric state and run again (the goal is state-derived, so a re-plan
   /// covers exactly the unfinished moves).
   bool replan_on_failure = true;
-  std::size_t max_replans = 2;
   /// Chaos hook, called before each batch executes (may mutate the fabric).
   std::function<void(std::size_t, const MigrationBatch&)> on_batch_start;
   /// Called after each batch's members ran, before accounting rolls up —
@@ -251,7 +247,7 @@ class PlanExecutor {
   /// conflict-freedom makes any interleaving equivalent, and index order
   /// keeps the SMP stream deterministic. One member's rollback never
   /// aborts its batch; a pass that left rollbacks/failures behind
-  /// re-plans via `planner` up to policy.max_replans times.
+  /// re-plans via `planner`, at most twice.
   FleetExecution execute(const MigrationPlanner& planner,
                          const MigrationPlan& plan,
                          const core::MigrationOptions& options = {},

@@ -254,7 +254,6 @@ CreateReport VSwitchFabric::create_vm(std::optional<std::size_t> hypervisor) {
       report.lft_smps += sm_->push_dirty_blocks(s, SmpRouting::kLidRouted);
     }
     report.time_us = transport.end_batch();
-    sm_->bump_generation();
   }
   sm_->refresh_targets();
 
@@ -472,18 +471,22 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
   // set is always sized, for reporting. ----
   const bool use_swap = txn.swapped_lid.valid();
   const auto vm_at = sm_->lids().attachment(fabric, txn.vm_lid);
-  IBVS_ENSURE(vm_at.has_value(), "migrated VM is not attached");
+  const auto back_at = use_swap
+                           ? sm_->lids().attachment(fabric, txn.swapped_lid)
+                           : std::nullopt;
+  if (!vm_at || (use_swap && !back_at)) {
+    // A hypervisor died after the address move; no LFT SMP went out yet.
+    throw MigrationError(MigrationErrc::kDestinationDetached,
+                         "a migrated VF lost its attachment before the LFT "
+                         "update");
+  }
   UpdateRequest request{.vm_lid = txn.vm_lid,
                         .takes_from = use_swap ? txn.swapped_lid
                                                : pf_lid(txn.dst_hypervisor),
                         .swap_back = use_swap,
                         .vm_at = *vm_at,
                         .measure_minimal = true};
-  if (use_swap) {
-    const auto back_at = sm_->lids().attachment(fabric, txn.swapped_lid);
-    IBVS_ENSURE(back_at.has_value(), "swapped VF LID is not attached");
-    request.back_at = *back_at;
-  }
+  if (use_swap) request.back_at = *back_at;
   const UpdatePlan plan =
       plan_update_set(routing, request, txn.options.mode);
   txn.minimal_set_size = plan.minimal_set_size;
@@ -526,7 +529,6 @@ void VSwitchFabric::txn_apply_lfts(MigrationTxn& txn,
   txn.stats.lft_time_us += updated.cost.time_us;
   throw_if_stopped(fabric, updated, "during reconfiguration");
   txn.stats.switches_updated = plan.update_set.size();
-  sm_->bump_generation();
 
   auto& metrics = VSwitchMetrics::get();
   (use_swap ? metrics.reconfig_swap : metrics.reconfig_copy).inc();
@@ -555,7 +557,6 @@ void VSwitchFabric::txn_rollback(MigrationTxn& txn) {
     txn.rollback_time_us += addresses.time_us;
     sm_->refresh_targets();
   }
-  sm_->bump_generation();
 
   journal_.roll_back(txn.id);
   txn.state = TxnState::kRolledBack;

@@ -83,10 +83,6 @@ std::vector<CableSpec> Fabric::sever_all(NodeId id) {
   return cables;
 }
 
-void Fabric::restore_cables(const std::vector<CableSpec>& cables) {
-  for (const CableSpec& c : cables) connect(c.a, c.port_a, c.b, c.port_b);
-}
-
 std::optional<PortNum> Fabric::free_port(NodeId id) const {
   const Node& n = node(id);
   for (PortNum p = 1; p <= n.num_ports(); ++p) {

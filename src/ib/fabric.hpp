@@ -140,10 +140,6 @@ class Fabric {
   /// for byte-identical rollback.
   std::vector<CableSpec> sever_all(NodeId id);
 
-  /// Re-plugs cables previously returned by sever_all/cables_of. Every
-  /// endpoint pair must currently be free.
-  void restore_cables(const std::vector<CableSpec>& cables);
-
   /// Lowest-numbered unconnected external port of `id`, if any.
   [[nodiscard]] std::optional<PortNum> free_port(NodeId id) const;
 

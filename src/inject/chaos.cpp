@@ -111,12 +111,8 @@ enum class EventKind {
   kSwitchKill,
   kSwitchRevive,
   kMigrate,
-  kKillDstMidMigration,
-  kKillMasterMidReconfig,
   kAttachSwitch,
   kDetachSwitch,
-  kKillSwitchMidAttach,
-  kKillMasterMidDetach,
 };
 
 const char* kind_name(EventKind kind) {
@@ -133,18 +129,10 @@ const char* kind_name(EventKind kind) {
       return "switch_revive";
     case EventKind::kMigrate:
       return "migrate";
-    case EventKind::kKillDstMidMigration:
-      return "kill_dst_mid_migration";
-    case EventKind::kKillMasterMidReconfig:
-      return "kill_master_mid_reconfig";
     case EventKind::kAttachSwitch:
       return "attach_switch";
     case EventKind::kDetachSwitch:
       return "detach_switch";
-    case EventKind::kKillSwitchMidAttach:
-      return "kill_switch_mid_attach";
-    case EventKind::kKillMasterMidDetach:
-      return "kill_master_mid_detach";
   }
   return "?";
 }
@@ -458,13 +446,8 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
       {EventKind::kSwitchKill, config.weight_switch_kill},
       {EventKind::kSwitchRevive, config.weight_switch_revive},
       {EventKind::kMigrate, config.weight_migrate},
-      {EventKind::kKillDstMidMigration, config.weight_kill_dst_mid_migration},
-      {EventKind::kKillMasterMidReconfig,
-       config.weight_kill_master_mid_reconfig},
       {EventKind::kAttachSwitch, config.weight_attach_switch},
       {EventKind::kDetachSwitch, config.weight_detach_switch},
-      {EventKind::kKillSwitchMidAttach, config.weight_kill_switch_mid_attach},
-      {EventKind::kKillMasterMidDetach, config.weight_kill_master_mid_detach},
   };
   unsigned total_weight = 0;
   for (const auto& k : kinds) total_weight += k.weight;
@@ -472,72 +455,9 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
 
   const NodeId sm_node = transport.sm_node();
 
-  // Shared candidate selection for every migration-flavored event: a
-  // uniformly drawn active VM, then a uniformly drawn destination with a
-  // free VF that is physically attached and SM-reachable. Draw order is
-  // part of the determinism contract — exactly one draw for the VM and one
-  // for the destination, skipping (no draws consumed beyond the VM's) when
-  // either candidate set is empty.
-  struct MigrationPick {
-    core::VmHandle vm;
-    std::size_t src = 0;
-    std::size_t dst = 0;
-  };
-  const auto pick_migration = [&]() -> std::optional<MigrationPick> {
-    std::vector<std::uint32_t> vms = vsf.active_vm_ids();
-    std::sort(vms.begin(), vms.end());
-    if (vms.empty()) return std::nullopt;
-    const core::VmHandle vm{vms[rng.below(vms.size())]};
-    const std::size_t src_hyp = vsf.vm(vm).hypervisor;
-    std::vector<std::size_t> dsts;
-    for (std::size_t h = 0; h < vsf.hypervisors().size(); ++h) {
-      if (h == src_hyp || !vsf.free_vf_on(h)) continue;
-      const NodeId pf = vsf.hypervisors()[h].pf;
-      if (!fabric.physical_attachment(pf)) continue;
-      if (!transport.hops_to(pf)) continue;
-      dsts.push_back(h);
-    }
-    if (dsts.empty()) return std::nullopt;
-    return MigrationPick{vm, src_hyp, dsts[rng.below(dsts.size())]};
-  };
-
   // Topology-delta plumbing (only exercised when the corresponding weights
   // are non-zero — default configs never construct a transaction).
   sm::TopologyTxnManager topo(sm, vsf.journal());
-
-  /// Live, reachable physical switches with at least one free port — the
-  /// peers a new chaos switch can cable into.
-  const auto attach_peers = [&]() {
-    std::vector<NodeId> out;
-    for (NodeId id = 0; id < fabric.size(); ++id) {
-      if (!fabric.node(id).is_physical_switch()) continue;
-      if (injector.is_dead(id)) continue;
-      if (!fabric.free_port(id)) continue;
-      if (!transport.hops_to(id)) continue;
-      out.push_back(id);
-    }
-    return out;
-  };
-
-  /// Draws one or two distinct peers and cables a brand-new 4-port switch
-  /// toward them (two draws when two peers exist — part of the determinism
-  /// contract). Returns the new switch and its cable list.
-  const auto draw_attach =
-      [&](const std::vector<NodeId>& peers)
-      -> std::pair<NodeId, std::vector<CableSpec>> {
-    const NodeId p1 = peers[rng.below(peers.size())];
-    NodeId p2 = kInvalidNode;
-    std::vector<NodeId> rest;
-    for (const NodeId id : peers) {
-      if (id != p1) rest.push_back(id);
-    }
-    if (!rest.empty()) p2 = rest[rng.below(rest.size())];
-    const NodeId sw = fabric.add_switch(
-        "chaos-sw" + std::to_string(fabric.size()), 4);
-    std::vector<CableSpec> cables{{sw, 1, p1, *fabric.free_port(p1)}};
-    if (p2 != kInvalidNode) cables.push_back({sw, 2, p2, *fabric.free_port(p2)});
-    return {sw, std::move(cables)};
-  };
 
   /// Switches a detach transaction would accept: alive, cabled, endpoint-
   /// free (no assigned LID attaches through them), not hosting the SM, and
@@ -653,119 +573,64 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
         break;
       }
       case EventKind::kMigrate: {
-        if (const auto pick = pick_migration()) {
-          event.detail = "vm" + std::to_string(pick->vm.id) + " hyp" +
-                         std::to_string(pick->src) + "->hyp" +
-                         std::to_string(pick->dst);
-          cloud.migrate(pick->vm, pick->dst);
-          ++report.migrations;
-          applied = true;
+        // A uniformly drawn active VM, then a uniformly drawn destination
+        // with a free VF that is physically attached and SM-reachable: one
+        // draw each, and none for the destination when the VM has none.
+        std::vector<std::uint32_t> vms = vsf.active_vm_ids();
+        std::sort(vms.begin(), vms.end());
+        if (vms.empty()) break;
+        const core::VmHandle vm{vms[rng.below(vms.size())]};
+        const std::size_t src = vsf.vm(vm).hypervisor;
+        std::vector<std::size_t> dsts;
+        for (std::size_t h = 0; h < vsf.hypervisors().size(); ++h) {
+          if (h == src || !vsf.free_vf_on(h)) continue;
+          const NodeId pf = vsf.hypervisors()[h].pf;
+          if (!fabric.physical_attachment(pf)) continue;
+          if (!transport.hops_to(pf)) continue;
+          dsts.push_back(h);
         }
-        break;
-      }
-      case EventKind::kKillDstMidMigration: {
-        // The destination hypervisor dies mid-flight: its vSwitch is
-        // killed either before the addresses move (at kCopied) or after
-        // the LFTs are rewritten (at kAttached). The orchestrator's policy
-        // machinery must re-place the VM on a live host or roll the whole
-        // transaction back — the fabric never stays half-migrated.
-        if (const auto pick = pick_migration()) {
-          const bool kill_late = rng.below(2) == 1;
-          const core::TxnState kill_at = kill_late ? core::TxnState::kAttached
-                                                   : core::TxnState::kCopied;
-          const NodeId dst_vswitch = vsf.hypervisors()[pick->dst].vswitch;
-          bool killed = false;
-          cloud::TxnPolicy policy;
-          policy.backoff_base_s = 0.0;  // simulated clock only
-          policy.on_step = [&](core::TxnState state,
-                               const core::MigrationTxn& txn) {
-            if (!killed && state == kill_at &&
-                txn.dst_hypervisor == pick->dst) {
-              injector.kill_node(dst_vswitch);
-              killed = true;
-            }
-          };
-          const auto flow = cloud.migrate_txn(pick->vm, pick->dst, {}, policy);
-          if (killed) injector.revive_node(dst_vswitch);
-          event.detail = "vm" + std::to_string(pick->vm.id) + " hyp" +
-                         std::to_string(pick->src) + "->hyp" +
-                         std::to_string(pick->dst) + " kill@" +
-                         (kill_late ? "attach" : "copy") + " -> " +
-                         cloud::to_string(flow.outcome) +
-                         (flow.replaced
-                              ? " hyp" + std::to_string(flow.dst_hypervisor)
-                              : "");
-          if (flow.outcome == cloud::TxnOutcome::kCommitted) {
-            ++report.migration_commits;
-          } else {
-            ++report.migration_rollbacks;
-          }
-          ++report.migrations;
-          applied = true;
-        }
-        break;
-      }
-      case EventKind::kKillMasterMidReconfig: {
-        // The master SM dies after a random number of LFT SMPs of an
-        // in-flight migration. The write-ahead journal then decides —
-        // exactly as a standby promoted by SmElection would (the election
-        // path itself is exercised in the tests); here the surviving SM
-        // object replays its own journal, which runs the identical code.
-        if (const auto pick = pick_migration()) {
-          auto txn = vsf.begin_migration(pick->vm, pick->dst);
-          vsf.txn_move_addresses(txn);
-          const std::uint64_t abort_after = 1 + rng.below(4);
-          bool interrupted = false;
-          try {
-            vsf.txn_apply_lfts(
-                txn, core::VSwitchFabric::ApplyOptions{
-                         .abort_after_smps =
-                             static_cast<std::size_t>(abort_after)});
-          } catch (const core::MigrationError&) {
-            interrupted = true;
-          }
-          event.detail = "vm" + std::to_string(pick->vm.id) + " hyp" +
-                         std::to_string(pick->src) + "->hyp" +
-                         std::to_string(pick->dst);
-          if (!interrupted) {
-            // The batch was smaller than the abort point; no death.
-            vsf.txn_commit(txn);
-            event.detail += " survived";
-            ++report.migration_commits;
-          } else {
-            const auto recovery =
-                vsf.journal().recover(sm);
-            const auto reconciled = vsf.reconcile_with_journal();
-            report.migration_commits += reconciled.committed;
-            report.migration_rollbacks += reconciled.rolled_back;
-            event.detail +=
-                " died@" + std::to_string(abort_after) + "smp -> " +
-                (recovery.rolled_forward > 0 ? "rolled_forward"
-                                             : "rolled_back");
-          }
-          ++report.migrations;
-          applied = true;
-        }
+        if (dsts.empty()) break;
+        const std::size_t dst = dsts[rng.below(dsts.size())];
+        event.detail = "vm" + std::to_string(vm.id) + " hyp" +
+                       std::to_string(src) + "->hyp" + std::to_string(dst);
+        cloud.migrate(vm, dst);
+        ++report.migrations;
+        applied = true;
         break;
       }
       case EventKind::kAttachSwitch: {
-        // Expand the fabric live: a brand-new switch cabled to one or two
-        // reachable peers through a journaled transaction — minimal
+        // Expand the fabric live: a brand-new 4-port switch cabled to one
+        // or two live, reachable peers with a free port (a second draw when
+        // a second peer exists) through a journaled transaction — minimal
         // re-route, no full sweep.
-        const auto peers = attach_peers();
-        if (!peers.empty()) {
-          const auto [sw, cables] = draw_attach(peers);
-          event.detail = fabric.node(sw).name;
-          try {
-            const auto txn = topo.attach_switch(sw, cables);
-            event.detail += " +" + std::to_string(txn.stats.lft_smps) + "smp";
-            ++report.topology_commits;
-          } catch (const sm::TopologyError& err) {
-            event.detail += std::string(" failed: ") + to_string(err.code());
-            ++report.topology_rollbacks;
-          }
-          applied = structural = true;
+        std::vector<NodeId> peers;
+        for (NodeId id = 0; id < fabric.size(); ++id) {
+          if (!fabric.node(id).is_physical_switch()) continue;
+          if (injector.is_dead(id)) continue;
+          if (!fabric.free_port(id)) continue;
+          if (!transport.hops_to(id)) continue;
+          peers.push_back(id);
         }
+        if (peers.empty()) break;
+        const NodeId p1 = peers[rng.below(peers.size())];
+        std::erase(peers, p1);
+        const NodeId sw = fabric.add_switch(
+            "chaos-sw" + std::to_string(fabric.size()), 4);
+        std::vector<CableSpec> cables{{sw, 1, p1, *fabric.free_port(p1)}};
+        if (!peers.empty()) {
+          const NodeId p2 = peers[rng.below(peers.size())];
+          cables.push_back({sw, 2, p2, *fabric.free_port(p2)});
+        }
+        event.detail = fabric.node(sw).name;
+        try {
+          const auto txn = topo.attach_switch(sw, cables);
+          event.detail += " +" + std::to_string(txn.stats.lft_smps) + "smp";
+          ++report.topology_commits;
+        } catch (const sm::TopologyError& err) {
+          event.detail += std::string(" failed: ") + to_string(err.code());
+          ++report.topology_rollbacks;
+        }
+        applied = structural = true;
         break;
       }
       case EventKind::kDetachSwitch: {
@@ -780,91 +645,6 @@ ChaosReport run_chaos(cloud::CloudOrchestrator& cloud,
           } catch (const sm::TopologyError& err) {
             event.detail += std::string(" failed: ") + to_string(err.code());
             ++report.topology_rollbacks;
-          }
-          applied = structural = true;
-        }
-        break;
-      }
-      case EventKind::kKillSwitchMidAttach: {
-        // The subject dies between the cabling mutation and the re-route:
-        // the transaction must notice the unreachable switch and roll back
-        // to a byte-identical fabric. The bricked switch stays dead
-        // (awaiting replacement) with no cables plugged.
-        const auto peers = attach_peers();
-        if (!peers.empty()) {
-          const auto [sw, cables] = draw_attach(peers);
-          event.detail = fabric.node(sw).name;
-          auto txn = topo.begin_attach_switch(sw, cables);
-          try {
-            topo.txn_mutate(txn);
-            injector.kill_node(sw);
-            topo.txn_reroute(txn);
-            topo.txn_commit(txn);
-            event.detail += " survived";
-            ++report.topology_commits;
-          } catch (const sm::TopologyError&) {
-            topo.txn_rollback(txn);
-            event.detail += " killed mid-attach -> rolled_back";
-            ++report.topology_rollbacks;
-          }
-          applied = structural = true;
-        }
-        break;
-      }
-      case EventKind::kKillMasterMidDetach: {
-        // The master SM dies after a random number of the detach's LFT
-        // SMPs; the write-ahead journal replays the record — forward when
-        // the delta set was journaled, back otherwise — exactly as a
-        // standby promoted by SmElection would.
-        const auto candidates = detach_candidates();
-        if (!candidates.empty()) {
-          const NodeId id = candidates[rng.below(candidates.size())];
-          // Die either right after the cabling mutation (the record holds
-          // cables but no delta set — recovery must roll BACK, re-plugging
-          // the exact cables) or after a random number of apply SMPs (the
-          // delta set is journaled — recovery rolls FORWARD).
-          const bool die_early = rng.below(2) == 1;
-          const std::uint64_t abort_after = 1 + rng.below(4);
-          event.detail = fabric.node(id).name;
-          auto txn = topo.begin_detach_switch(id);
-          sm::TopologyApplyOptions opts;
-          opts.abort_after_smps = abort_after;
-          try {
-            topo.txn_mutate(txn);
-            if (die_early) {
-              const auto recovery =
-                  vsf.journal().recover(sm);
-              event.detail +=
-                  " died@mutate -> " + std::string(recovery.rolled_back > 0
-                                                       ? "rolled_back"
-                                                       : "rolled_forward");
-              ++report.topology_rollbacks;
-              applied = structural = true;
-              break;
-            }
-            topo.txn_reroute(txn, opts);
-            topo.txn_commit(txn);
-            event.detail += " survived";
-            ++report.topology_commits;
-          } catch (const sm::TopologyError& err) {
-            if (err.code() == sm::TopologyErrc::kInterrupted) {
-              const auto recovery =
-                  vsf.journal().recover(sm);
-              const bool forward = recovery.rolled_forward > 0;
-              event.detail += " died@" + std::to_string(abort_after) +
-                              "smp -> " +
-                              (forward ? "rolled_forward" : "rolled_back");
-              if (forward) {
-                ++report.topology_commits;
-              } else {
-                ++report.topology_rollbacks;
-              }
-            } else {
-              if (!txn.terminal()) topo.txn_rollback(txn);
-              event.detail += std::string(" failed: ") +
-                              to_string(err.code()) + " -> rolled_back";
-              ++report.topology_rollbacks;
-            }
           }
           applied = structural = true;
         }

@@ -58,27 +58,14 @@ struct ChaosConfig {
   unsigned weight_switch_kill = 1;
   unsigned weight_switch_revive = 1;
   unsigned weight_migrate = 4;
-  // Migration-fault events (default 0: enabling them must not perturb the
-  // digests of existing seeds). kill_dst_mid_migration kills the
-  // destination hypervisor's vSwitch at a random transaction state and
-  // lets the orchestrator re-place or roll back; kill_master_mid_reconfig
-  // cuts the LFT batch short after a random number of SMPs and replays the
-  // write-ahead journal, as a freshly elected master would.
-  unsigned weight_kill_dst_mid_migration = 0;
-  unsigned weight_kill_master_mid_reconfig = 0;
   // Topology-delta events (default 0: enabling them must not perturb the
   // digests of existing seeds). attach_switch cables a brand-new switch to
   // one or two reachable peers through a journaled TopologyTxn;
   // detach_switch severs a safety-filtered, endpoint-free switch the same
-  // way; kill_switch_mid_attach kills the subject between the cabling
-  // mutation and the re-route (the transaction must roll back to a
-  // byte-identical fabric); kill_master_mid_detach cuts the detach's LFT
-  // batch short after a random number of SMPs and replays the write-ahead
-  // journal, as a freshly elected master would.
+  // way. Crashes inside transactions are not sampled here: the CrashPoint
+  // suite (tests/test_crash_points.cpp) tries every one.
   unsigned weight_attach_switch = 0;
   unsigned weight_detach_switch = 0;
-  unsigned weight_kill_switch_mid_attach = 0;
-  unsigned weight_kill_master_mid_detach = 0;
 
   /// Probabilistic MAD plane active for the whole run (drops force the
   /// transport's retry/backoff machinery; jitter perturbs latencies).
@@ -88,7 +75,8 @@ struct ChaosConfig {
 /// One step of the run: the event applied and what recovery cost.
 struct ChaosEvent {
   std::string kind;    ///< link_cut, link_restore, link_flap, switch_kill,
-                       ///< switch_revive, migrate, or skip:<kind>
+                       ///< switch_revive, migrate, attach_switch,
+                       ///< detach_switch, or skip:<kind>
   std::string detail;  ///< the affected cable / switch / VM, by name
   std::size_t rounds = 0;       ///< reconvergence rounds
   std::uint64_t smps = 0;       ///< LFT SMPs the recovery sent
@@ -103,12 +91,12 @@ struct ChaosReport {
   std::size_t steps = 0;
   std::size_t structural_events = 0;
   std::size_t migrations = 0;
-  /// Transactional outcomes from the migration-fault events: every such
-  /// migration must end committed or rolled back, never in between.
+  /// kEvacuation's planned moves by outcome: every one must end committed
+  /// or rolled back, never in between.
   std::size_t migration_commits = 0;
   std::size_t migration_rollbacks = 0;
   /// Transactional outcomes from the topology-delta events: every delta
-  /// must end committed or rolled back (possibly via journal replay).
+  /// must end committed or rolled back.
   std::size_t topology_commits = 0;
   std::size_t topology_rollbacks = 0;
   std::size_t skipped = 0;  ///< steps whose picked kind had no candidate

@@ -45,8 +45,6 @@ void FaultInjector::clear_link_fault(NodeId node, PortNum port) {
   }
 }
 
-void FaultInjector::clear_link_faults() { link_faults_.clear(); }
-
 const LinkFault& FaultInjector::fault_for(NodeId from, PortNum from_port,
                                           NodeId to,
                                           PortNum to_port) const noexcept {

@@ -55,7 +55,6 @@ class FaultInjector final : public fabric::LinkFaultModel {
   /// Sets the fault parameters of one cable, identified by either end.
   void set_link_fault(NodeId node, PortNum port, const LinkFault& fault);
   void clear_link_fault(NodeId node, PortNum port);
-  void clear_link_faults();
 
   bool drop_on_link(NodeId from, PortNum from_port, NodeId to,
                     PortNum to_port) override;

@@ -131,9 +131,6 @@ class PerfMgr {
   /// absolute readings. Does not disturb the sweep delta history.
   std::vector<PortReading> read_ports(const std::vector<PortKey>& ports);
 
-  [[nodiscard]] std::uint64_t sweeps_completed() const noexcept {
-    return sweeps_;
-  }
   [[nodiscard]] const PerfMgrConfig& config() const noexcept {
     return config_;
   }

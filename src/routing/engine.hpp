@@ -54,11 +54,6 @@ struct RoutingResult {
   /// which the caller keeps (HopMatrix), and the tables' own capacity.
   std::vector<SwitchGraph::Target> routed_targets;
 
-  /// Egress port on switch `s` for `lid` (kDropPort if unrouted).
-  [[nodiscard]] PortNum port_at(SwitchIdx s, Lid lid) const {
-    return lfts[s].get(lid);
-  }
-
   /// VL assigned to traffic from `src_sw` to LID `lid`.
   [[nodiscard]] std::uint8_t vl_for(SwitchIdx src_sw, Lid lid,
                                     SwitchIdx dst_sw) const {

@@ -122,6 +122,54 @@ void repair_rolled_back_routes(
   }
 }
 
+/// Whether `lid`'s master column delivers it at (t, port) from every switch
+/// with a path to t (hop-matrix entry 0xFF: none).
+bool column_delivers(const SubnetManager& sm,
+                     const std::vector<std::uint8_t>& hops, Lid lid,
+                     routing::SwitchIdx t, PortNum port) {
+  const auto& result = sm.routing_result();
+  const auto& g = result.graph;
+  const std::size_t n = g.num_switches();
+  for (routing::SwitchIdx s = 0; s < n; ++s) {
+    if (hops[static_cast<std::size_t>(s) * n + t] == 0xFF) continue;
+    routing::SwitchIdx x = s;
+    for (std::size_t step = 0; x != t; ++step) {
+      const auto next =
+          sm.fabric().peer(g.switches[x], result.lfts[x].get(lid));
+      if (step == n || !next) return false;
+      x = g.dense(next->first);
+      if (x == routing::kNoSwitch) return false;
+    }
+    if (result.lfts[t].get(lid) != port) return false;
+  }
+  return true;
+}
+
+/// Route repair after a migration rollback performed by a *recovering* SM.
+/// A standby's takeover sweep routed the record's LIDs where it found them,
+/// at the destination; undoing the address move sends them back to the
+/// source, so a column that no longer delivers is recomputed from the hop
+/// matrix. A master rolling back its own record restored the exact
+/// pre-transaction columns, which deliver, and stays byte-identical.
+void repair_rolled_back_lids(SubnetManager& sm, const std::vector<Lid>& lids) {
+  if (lids.empty()) return;
+  const auto& g = sm.routing_result().graph;
+  const auto& hops = sm.hop_matrix();
+  for (const Lid lid : lids) {
+    const auto att = sm.lids().attachment(sm.fabric(), lid);
+    if (!att) continue;
+    const routing::SwitchIdx t = g.dense(att->first);
+    if (t == routing::kNoSwitch ||
+        column_delivers(sm, hops, lid, t, att->second)) {
+      continue;
+    }
+    const auto column = repair_route_column(g, hops, t, att->second);
+    for (routing::SwitchIdx s = 0; s < g.num_switches(); ++s) {
+      sm.update_master_entry(s, lid, column[s]);
+    }
+  }
+}
+
 /// Folds one resolved in-flight record into the report, the metrics and
 /// the log.
 void settle(JournalRecord& r, bool forward, RecoveryReport& report) {
@@ -354,9 +402,15 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   if (topology_in_flight) sm.adopt_topology_change();
 
   // Migrations resolve before topology deltas.
+  std::vector<Lid> rolled_back_lids;
   for (JournalRecord& r : records_) {
-    if (r.state == RecordState::kInFlight && r.migration()) {
-      resolve_migration(sm, r, report, routing);
+    if (r.state != RecordState::kInFlight || !r.migration()) continue;
+    resolve_migration(sm, r, report, routing);
+    if (r.state == RecordState::kRolledBack && r.started) {
+      rolled_back_lids.push_back(r.migration()->vm_lid);
+      if (r.migration()->swapped_lid.valid()) {
+        rolled_back_lids.push_back(r.migration()->swapped_lid);
+      }
     }
   }
   std::vector<const TopologyPayload*> rolled_back_topology;
@@ -372,13 +426,13 @@ RecoveryReport ReconfigJournal::recover(SubnetManager& sm,
   // the switches that are really there.
   if (topology_in_flight) sm.adopt_topology_change();
   repair_rolled_back_routes(sm, rolled_back_topology);
+  repair_rolled_back_lids(sm, rolled_back_lids);
 
   // The master tables now describe exactly one consistent outcome per
   // record; push the diffs until the installed fabric agrees. Only a
-  // rolled-back topology delta triggers a (column-scoped) recomputation
-  // above — the migration paths and topology roll-forward stay PCt-free.
+  // roll-back can trigger a (column-scoped) recomputation above — the
+  // roll-forward paths stay PCt-free.
   sm.refresh_targets();
-  sm.bump_generation();
   report.redistribution = sm.redistribute(max_rounds, routing);
   span.set_attr("rolled_forward", std::to_string(report.rolled_forward));
   span.set_attr("rolled_back", std::to_string(report.rolled_back));

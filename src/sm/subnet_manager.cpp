@@ -213,7 +213,6 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
   written_.assign(routing_.lfts.size(), false);
   hop_matrix_.clear_changes();
   routing_ready_ = true;
-  ++generation_;
   auto& metrics = SweepMetrics::get();
   metrics.route_computations.inc();
   metrics.last_pct_seconds.set(routing_.compute_seconds);
@@ -390,7 +389,6 @@ void SubnetManager::adopt_topology_change() {
   }
   written_.resize(routing_.lfts.size(), true);
   transport_.invalidate_topology();
-  ++generation_;
   SweepMetrics::get().topology_adoptions.inc();
 }
 

@@ -14,7 +14,7 @@
 //
 // The vSwitch layer (src/core) drives the same SubnetManager for its
 // reconfigurations, writing individual LFT entries through
-// update_lft_entry() so master state and hardware state stay in lockstep.
+// update_master_entry() so master state and hardware state stay in lockstep.
 #pragma once
 
 #include <memory>
@@ -196,13 +196,6 @@ class SubnetManager {
   /// of that switch) to the hardware of switch `sw`. Returns SMPs sent.
   std::uint64_t push_dirty_blocks(routing::SwitchIdx sw, SmpRouting routing);
 
-  /// Monotone generation counter, bumped whenever routes change; the SA
-  /// cache uses it for invalidation.
-  [[nodiscard]] std::uint64_t routing_generation() const noexcept {
-    return generation_;
-  }
-  void bump_generation() noexcept { ++generation_; }
-
   /// A port the health layer (PerfMgr) reported as unhealthy.
   struct FlaggedPort {
     NodeId node = kInvalidNode;
@@ -219,7 +212,6 @@ class SubnetManager {
       const noexcept {
     return degraded_ports_;
   }
-  void clear_degraded_ports() noexcept { degraded_ports_.clear(); }
 
  private:
   /// One diff-and-send round, shared by distribute_lfts() and
@@ -245,7 +237,6 @@ class SubnetManager {
   /// its *entire* master table instead of only the blocks that differ.
   std::unordered_set<NodeId> cold_pending_;
   bool routing_ready_ = false;
-  std::uint64_t generation_ = 0;
   std::vector<FlaggedPort> degraded_ports_;
 };
 

@@ -520,7 +520,6 @@ void TopologyTxnManager::txn_reroute(TopologyTxn& txn,
     throw TopologyError(TopologyErrc::kRerouteFailed,
                         "delta redistribution did not converge");
   }
-  sm_.bump_generation();
   txn.state = TopologyTxnState::kRerouted;
   span.set_attr("lft_smps", std::to_string(txn.stats.lft_smps));
   span.set_attr("switches_updated",
@@ -575,7 +574,6 @@ void TopologyTxnManager::txn_rollback(TopologyTxn& txn) {
   const auto settle = sm_.redistribute(kSettleRounds, SmpRouting::kDirected);
   txn.rollback_smps += settle.smps;
   txn.rollback_time_us += settle.time_us;
-  sm_.bump_generation();
 
   journal_.roll_back(txn.id);
   txn.state = TopologyTxnState::kRolledBack;

@@ -135,10 +135,6 @@ bool Tracer::flush_to_file(const std::string& path) const {
   return true;
 }
 
-double Tracer::now_us() const noexcept {
-  return static_cast<double>(monotonic_ns() - epoch_ns_) * 1e-3;
-}
-
 Span Tracer::span(std::string_view name, Labels attrs) {
   Span span;
   if (!enabled()) return span;

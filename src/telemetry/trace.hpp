@@ -116,7 +116,6 @@ class Tracer {
  private:
   friend class Span;
   void record(SpanRecord&& record);
-  [[nodiscard]] double now_us() const noexcept;
 
   std::atomic<bool> enabled_{true};
   std::atomic<std::uint64_t> next_id_{1};

@@ -86,11 +86,6 @@ int Log::init_from_env() noexcept {
   return expected;
 }
 
-void Log::reload_env() noexcept {
-  level_.store(kUninitialized, std::memory_order_relaxed);
-  (void)init_from_env();
-}
-
 void Log::emit(LogLevel level, std::string_view component,
                std::string_view message) {
   const double seconds =

@@ -47,10 +47,6 @@ class Log {
   /// Parses a level name ("trace".."error", "off"), case-insensitive.
   static std::optional<LogLevel> parse_level(std::string_view text) noexcept;
 
-  /// Re-reads IBVS_LOG_LEVEL (falling back to the kWarn default). Normally
-  /// implicit on first use; exposed so tests can exercise the env path.
-  static void reload_env() noexcept;
-
   /// Emits one record; serializes concurrent writers.
   static void emit(LogLevel level, std::string_view component,
                    std::string_view message);

@@ -2,7 +2,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstdint>
 
 namespace ibvs {
 
@@ -23,11 +22,6 @@ class Stopwatch {
   }
   [[nodiscard]] double elapsed_ms() const noexcept {
     return std::chrono::duration<double, std::milli>(elapsed()).count();
-  }
-  [[nodiscard]] std::uint64_t elapsed_us() const noexcept {
-    return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(elapsed())
-            .count());
   }
 
  private:

@@ -374,10 +374,10 @@ TEST(Chaos, SameSeedSameDigest) {
 }
 
 TEST(Chaos, LegacySeedDigestPinned) {
-  // The new fault kinds (migration faults, topology deltas) default to
-  // weight 0 and zero-weight kinds draw nothing from the RNG, so enabling
-  // the features must not perturb existing seeds. This digest was captured
-  // before the topology-delta events existed; it must stay bit-stable.
+  // The topology-delta kinds default to weight 0 and zero-weight kinds
+  // draw nothing from the RNG, so enabling the features must not perturb
+  // existing seeds. This digest was captured before the topology-delta
+  // events existed; it must stay bit-stable.
   // (Switch kill/revive are disabled because the cold-resync fix
   // legitimately changed the SMP counts of seeds that revive switches.)
   auto s = test::VirtualSubnet::small(core::LidScheme::kDynamic);

@@ -130,18 +130,6 @@ TEST(RefreshTargets, FollowsLidMoves) {
   }
 }
 
-TEST(Generation, BumpsOnRecompute) {
-  auto s = test::PhysicalSubnet::small_fat_tree();
-  const auto g0 = s.sm->routing_generation();
-  s.sm->discover();
-  s.sm->assign_lids();
-  s.sm->compute_routes();
-  EXPECT_GT(s.sm->routing_generation(), g0);
-  const auto g1 = s.sm->routing_generation();
-  s.sm->bump_generation();
-  EXPECT_EQ(s.sm->routing_generation(), g1 + 1);
-}
-
 TEST(EngineSwap, SetEngineTakesEffect) {
   auto s = test::PhysicalSubnet::small_fat_tree(routing::EngineKind::kMinHop);
   s.sm->full_sweep();

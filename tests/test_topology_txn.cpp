@@ -639,8 +639,6 @@ TEST(ChaosTopologyFaults, EveryDeltaTerminalAndReproducible) {
     config.mad_faults.drop_probability = 0.02;
     config.weight_attach_switch = 3;
     config.weight_detach_switch = 3;
-    config.weight_kill_switch_mid_attach = 2;
-    config.weight_kill_master_mid_detach = 2;
     const auto report = inject::run_chaos(cloud, injector, config);
 
     EXPECT_EQ(report.checker_violations, 0u);
