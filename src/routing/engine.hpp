@@ -10,8 +10,8 @@
 // An engine either computes from scratch (compute()) or rewrites the SM's
 // master tables in place (recompute()). Min-Hop does the latter: it reads
 // the hop matrix the SM keeps current, keeps the target list of its
-// previous run beside the tables it wrote, and re-chooses a switch's ports
-// only from the first target whose inputs changed.
+// previous run beside the tables it wrote, and searches a switch's
+// out-edges again only for the targets whose old port may no longer win.
 #pragma once
 
 #include <cstdint>
@@ -47,6 +47,11 @@ struct RoutingResult {
   /// was last brought up to date (none for a flap, or when a topology
   /// planner already did). 0 for the other engines.
   std::size_t hop_rows_searched = 0;
+  /// Min-Hop (switch, target) pairs this run chose a port for by searching
+  /// every out-edge of the switch: every routed pair when cold, otherwise
+  /// only those whose old port could not be replayed. 0 for the other
+  /// engines.
+  std::size_t targets_searched = 0;
 
   /// The target list the run routed, kept with the tables it wrote so the
   /// next in-place run can tell which targets changed. Only Min-Hop fills
@@ -83,8 +88,8 @@ class RoutingEngine {
   /// unwritten. `hops` is the caller's hop matrix, kept beside `tables`:
   /// changes since its last clear_changes() belong to this run. The default
   /// assigns a cold compute() and ignores `hops`; Min-Hop brings `hops` up
-  /// to date and reuses every unwritten switch's table up to the first
-  /// target whose inputs changed.
+  /// to date and keeps an unwritten switch's old port for every target
+  /// whose inputs and port loads allow it.
   virtual void recompute(const Fabric& fabric, const LidMap& lids,
                          RoutingResult& tables,
                          const std::vector<bool>& written, HopMatrix& hops);

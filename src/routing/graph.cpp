@@ -126,21 +126,18 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
   return hops;
 }
 
-std::size_t HopMatrix::update(const SwitchGraph& graph,
-                              const std::vector<SwitchGraph::Target>& targets) {
+std::size_t HopMatrix::update(const SwitchGraph& graph) {
   const std::size_t s_count = graph.num_switches();
-  std::vector<std::uint32_t> rank(s_count,
-                                  static_cast<std::uint32_t>(targets.size()));
-  for (std::size_t i = targets.size(); i-- > 0;) {
-    rank[targets[i].sw] = static_cast<std::uint32_t>(i);
-  }
   const bool cold =
       hops.size() != s_count * s_count || adj_offset.size() != s_count + 1;
-  if (hops.size() != s_count * s_count) hops.assign(s_count * s_count, 0xFF);
+  if (hops.size() != s_count * s_count) {
+    hops.assign(s_count * s_count, 0xFF);
+    row_words = (s_count + 63) / 64;
+    changed.assign(s_count * row_words, 0);
+  }
 
   std::vector<SwitchIdx> search;
   if (cold) {
-    first_changed.resize(s_count, ~std::uint32_t{0});
     edges_changed.assign(s_count, true);
     search.resize(s_count);
     std::iota(search.begin(), search.end(), SwitchIdx{0});
@@ -201,9 +198,11 @@ std::size_t HopMatrix::update(const SwitchGraph& graph,
           bfs_hop_row(graph, src, scratch.data(), queue.data());
           std::uint8_t* row = hops.data() + std::size_t{src} * s_count;
           if (std::equal(scratch.begin(), scratch.end(), row)) continue;
-          std::uint32_t& changed = first_changed[src];
+          std::uint64_t* bits = changed.data() + std::size_t{src} * row_words;
           for (std::size_t t = 0; t < s_count; ++t) {
-            if (row[t] != scratch[t]) changed = std::min(changed, rank[t]);
+            if (row[t] != scratch[t]) {
+              bits[t / 64] |= std::uint64_t{1} << t % 64;
+            }
           }
           std::copy(scratch.begin(), scratch.end(), row);
         }
@@ -215,7 +214,7 @@ std::size_t HopMatrix::update(const SwitchGraph& graph,
 }
 
 void HopMatrix::clear_changes() {
-  std::fill(first_changed.begin(), first_changed.end(), ~std::uint32_t{0});
+  std::fill(changed.begin(), changed.end(), 0);
   std::fill(edges_changed.begin(), edges_changed.end(), false);
 }
 

@@ -89,23 +89,30 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 /// tables; Min-Hop, the topology planners and journal recovery all read it.
 /// Besides the matrix it keeps the CSR the matrix was computed on and what
 /// changed since clear_changes(), which the SM calls after every routing
-/// run: the updates between two runs accumulate.
+/// run: the updates between two runs accumulate. Min-Hop ORs a switch's
+/// neighbours' changed-cell rows into one mask: its set bits are the target
+/// switches whose choices may differ from the last run's.
 struct HopMatrix {
   std::vector<std::uint8_t> hops;         ///< switch_hop_matrix() layout
   std::vector<std::uint32_t> adj_offset;  ///< CSR `hops` was computed on
   std::vector<SwitchGraph::Edge> edges;
-  /// Per row u, the smallest rank over the columns whose entry changed
-  /// since clear_changes() (~0u when none did).
-  std::vector<std::uint32_t> first_changed;
+  /// Cells changed since clear_changes(), one bit per (row u, column t):
+  /// bit t % 64 of changed[u * row_words + t / 64]. S² bits.
+  std::vector<std::uint64_t> changed;
+  std::size_t row_words = 0;  ///< 64-bit words per row of `changed`
   /// Per switch: its out-edge list changed since clear_changes().
   std::vector<bool> edges_changed;
   /// Rows searched by BFS over every update() so far.
   std::uint64_t rows_searched = 0;
 
+  /// Row u's changed-cell bits, row_words words.
+  [[nodiscard]] const std::uint64_t* changed_row(SwitchIdx u) const {
+    return changed.data() + std::size_t{u} * row_words;
+  }
+
   /// Brings `hops` up to date with `graph` and returns the rows it searched.
-  /// What changed is folded into `first_changed` (a running minimum) and
-  /// `edges_changed`. Column t's rank is the index of switch t's first
-  /// target in `targets` (`targets.size()` when it has none).
+  /// Every cell that changed is set in `changed` (which accumulates) and
+  /// every switch whose out-edges changed in `edges_changed`.
   ///
   /// The stored CSR and `graph`'s are diffed into the directed edges removed
   /// and added. A row with old distances d is kept without a search when
@@ -119,10 +126,9 @@ struct HopMatrix {
   ///
   /// Cold, every row is searched and every switch's edges count as changed:
   /// when `hops` does not hold S*S entries (it is first reset to
-  /// all-unreachable, so every reachable column counts as changed) or the
-  /// stored CSR does not hold S+1 offsets.
-  std::size_t update(const SwitchGraph& graph,
-                     const std::vector<SwitchGraph::Target>& targets);
+  /// all-unreachable and `changed` to all-clear, so every reachable cell
+  /// counts as changed) or the stored CSR does not hold S+1 offsets.
+  std::size_t update(const SwitchGraph& graph);
 
   /// Forgets what changed: a routing run has read it.
   void clear_changes();

@@ -7,15 +7,24 @@
 // lowest-port tie breaking.
 //
 // Tables are rewritten in place. A switch's table is a function of its own
-// out-edges in CSR order, its neighbours' hop-matrix rows at the target
-// switches, and the target list in LID order; its port loads never leave
-// it. So the ports it chose for the targets before the first one whose
-// inputs changed stand, and only the rest are chosen again. The hop matrix
-// is the caller's (the SM's), which records the rows and out-edges changed
-// since the last routing run. A cold run is the same code with every
-// switch stale.
+// out-edges, its neighbours' hop-matrix rows at the target switches, and
+// the target list in LID order; its port loads never leave it. A stale
+// switch (written since the last run, new, with changed out-edges or the
+// wrong capacity) is filled from all-drop, as a cold run fills every
+// switch. Any other switch walks the last run's target list and the new
+// one together in LID order from its first target whose inputs changed,
+// tracking delta[p]: port p's load now minus its load at the same point of
+// the last run. A target whose (lid, switch, port) and neighbours' hop
+// column are unchanged, and whose old port c has delta[c] <= 0, keeps c
+// unless a minimal-hop port with delta < 0 now beats it: every other
+// port's (load, port) key can only have grown since c beat it, and c's can
+// only have shrunk. The rest search every out-edge. The hop matrix is the
+// caller's (the SM's), which records the cells and out-edges changed since
+// the last routing run.
 #include <algorithm>
+#include <array>
 #include <atomic>
+#include <bit>
 
 #include "routing/engine.hpp"
 #include "util/thread_pool.hpp"
@@ -36,6 +45,179 @@ constexpr std::size_t kMinSwitchesPerRange = 8;
 /// is (hops + 1) << 40 | port load << 8 | port, so the smallest is the
 /// minimal-hop, least-loaded, lowest port.
 constexpr std::uint64_t kNoRoute = ~std::uint64_t{0};
+
+using Target = SwitchGraph::Target;
+
+/// One pool worker's table fills: the inputs every switch shares and the
+/// scratch of the switch being filled.
+class SwitchFill {
+ public:
+  SwitchFill(const SwitchGraph& g, const HopMatrix& matrix)
+      : g_(g), matrix_(matrix), mask_(matrix.row_words) {}
+
+  /// Full (switch, target) searches so far.
+  std::size_t searched = 0;
+
+  /// Fills switch s's table from all-drop, as a cold run does.
+  void refill(SwitchIdx s, Lft& lft, Lid top_lid, std::size_t capacity) {
+    // Clearing in place allocates nothing: fresh tables made on pool
+    // workers raised peak RSS.
+    if (lft.capacity() == capacity) {
+      lft.clear();
+    } else {
+      lft = Lft(top_lid);
+    }
+    load_.fill(0);
+    for (const Target& t : g_.targets) {
+      const PortNum chosen = t.sw == s ? t.port : search(s, t.sw);
+      if (chosen != kDropPort) lft.set(t.lid, chosen);
+    }
+  }
+
+  /// Brings unwritten switch s's table, which holds the last run's choices
+  /// for `old`, up to date with the graph's targets. The lists agree below
+  /// `same`; rank[t] is switch t's first index in the new list. Returns
+  /// false, touching nothing, when no input of the table changed.
+  bool delta_fill(SwitchIdx s, Lft& lft, const std::vector<Target>& old,
+                  std::size_t same, const std::vector<std::uint32_t>& rank) {
+    const std::vector<Target>& targets = g_.targets;
+    // The columns at which some neighbour's hop row changed; the first
+    // target at any of them bounds k_s like the first differing target.
+    std::fill(mask_.begin(), mask_.end(), 0);
+    const auto [first, last] = g_.out(s);
+    for (const auto* e = first; e != last; ++e) {
+      const std::uint64_t* row = matrix_.changed_row(e->to);
+      for (std::size_t w = 0; w < mask_.size(); ++w) mask_[w] |= row[w];
+    }
+    std::size_t k = same;
+    for (std::size_t w = 0; w < mask_.size(); ++w) {
+      for (std::uint64_t bits = mask_[w]; bits != 0; bits &= bits - 1) {
+        k = std::min<std::size_t>(k, rank[w * 64 + std::countr_zero(bits)]);
+      }
+    }
+    if (k == targets.size() && k == old.size()) return false;
+
+    // Targets before k_s keep their ports; their loads come from the table.
+    load_.fill(0);
+    delta_.fill(0);
+    below_.fill(0);
+    for (std::size_t i = 0; i < k; ++i) {
+      if (targets[i].sw == s) continue;
+      const PortNum port = lft.get(targets[i].lid);
+      if (port != kDropPort) ++load_[port];
+    }
+    std::size_t i = k;  // next of the old list
+    std::size_t j = k;  // next of the new list
+    while (i < old.size() || j < targets.size()) {
+      if (j == targets.size() ||
+          (i < old.size() && old[i].lid < targets[j].lid)) {
+        // A LID gone from the list: dropped, its old port one lighter.
+        const Target& gone = old[i++];
+        const PortNum c = lft.get(gone.lid);
+        if (c == kDropPort) continue;
+        if (gone.sw != s) shift(c, -1);
+        lft.set(gone.lid, kDropPort);
+        continue;
+      }
+      const Target& t = targets[j++];
+      const PortNum c = lft.get(t.lid);  // drop for a LID new to the list
+      bool counted = false;  // c carried load in the last run
+      bool same_target = false;
+      if (i < old.size() && old[i].lid == t.lid) {
+        counted = old[i].sw != s && c != kDropPort;
+        same_target = old[i] == t;
+        ++i;
+      }
+      PortNum chosen;
+      if (t.sw == s) {
+        chosen = t.port;  // local delivery (port 0 = self)
+      } else if (same_target && counted && !column_changed(t.sw) &&
+                 delta_[c] <= 0) {
+        chosen = replay(s, t.sw, c);
+      } else {
+        chosen = search(s, t.sw);
+      }
+      if (counted) shift(c, -1);
+      if (t.sw != s && chosen != kDropPort) shift(chosen, +1);
+      if (chosen != c) lft.set(t.lid, chosen);
+    }
+    return true;
+  }
+
+ private:
+  /// Minimal hop count via any neighbour, then least-loaded port, then
+  /// lowest port: the smallest of one key per out-edge of s.
+  PortNum search(SwitchIdx s, SwitchIdx dst) {
+    ++searched;
+    const std::size_t s_count = g_.num_switches();
+    const std::uint8_t* hops = matrix_.hops.data();
+    std::uint64_t best = kNoRoute;
+    const auto [first, last] = g_.out(s);
+    for (const auto* e = first; e != last; ++e) {
+      const std::uint8_t h = hops[std::size_t{e->to} * s_count + dst];
+      const std::uint64_t key =
+          h == 0xFF ? kNoRoute
+                    : (std::uint64_t{h} + 1) << 40 |
+                          std::uint64_t{load_[e->out_port]} << 8 |
+                          e->out_port;
+      best = std::min(best, key);
+    }
+    if (best == kNoRoute) return kDropPort;
+    const auto chosen = static_cast<PortNum>(best & 0xFF);
+    ++load_[chosen];
+    return chosen;
+  }
+
+  /// The search's answer for a target whose inputs are unchanged and whose
+  /// old port c has delta[c] <= 0: the least (load, port) among c and the
+  /// ports with delta < 0 as near the target as c. Any other port p has
+  /// delta[p] >= 0, so its key is at least its old one, which c beat.
+  PortNum replay(SwitchIdx s, SwitchIdx dst, PortNum c) {
+    std::uint64_t best = std::uint64_t{load_[c]} << 8 | c;
+    if (below_ != std::array<std::uint64_t, 4>{}) {
+      const std::uint8_t hc = hop_via(s, c, dst);
+      for (std::size_t w = 0; w < below_.size(); ++w) {
+        for (std::uint64_t bits = below_[w]; bits != 0; bits &= bits - 1) {
+          const auto p = static_cast<PortNum>(w * 64 + std::countr_zero(bits));
+          if (hop_via(s, p, dst) != hc) continue;
+          best = std::min(best, std::uint64_t{load_[p]} << 8 | p);
+        }
+      }
+    }
+    const auto chosen = static_cast<PortNum>(best & 0xFF);
+    ++load_[chosen];
+    return chosen;
+  }
+
+  /// Hops to switch dst from the neighbour behind s's port p.
+  [[nodiscard]] std::uint8_t hop_via(SwitchIdx s, PortNum p,
+                                     SwitchIdx dst) const {
+    const SwitchIdx to = g_.edges[g_.edge_of(s, p)].to;
+    return matrix_.hops[std::size_t{to} * g_.num_switches() + dst];
+  }
+
+  [[nodiscard]] bool column_changed(SwitchIdx t) const {
+    return (mask_[t / 64] >> t % 64 & 1) != 0;
+  }
+
+  /// Moves delta[p] by `by`, keeping the set of ports below zero.
+  void shift(PortNum p, int by) {
+    delta_[p] += by;
+    const std::uint64_t bit = std::uint64_t{1} << p % 64;
+    if (delta_[p] < 0) {
+      below_[p / 64] |= bit;
+    } else {
+      below_[p / 64] &= ~bit;
+    }
+  }
+
+  const SwitchGraph& g_;
+  const HopMatrix& matrix_;
+  std::array<std::uint32_t, 256> load_{};
+  std::array<std::int32_t, 256> delta_{};
+  std::array<std::uint64_t, 4> below_{};  ///< ports with delta < 0
+  std::vector<std::uint64_t> mask_;       ///< changed columns, this switch
+};
 
 class MinHopEngine final : public RoutingEngine {
  public:
@@ -62,101 +244,54 @@ class MinHopEngine final : public RoutingEngine {
     const SwitchGraph& g = result.graph;
     const std::size_t s_count = g.num_switches();
     const std::size_t n = g.targets.size();
-    const std::vector<SwitchGraph::Target>& old_targets = result.routed_targets;
+    const std::vector<Target>& old_targets = result.routed_targets;
     // Only the hop rows the cables changed since the matrix was last
     // brought up to date are searched (none for a flap; every row after
-    // the caller dropped it). A change at column t first matters to a
-    // neighbour's table at switch t's first target; ranks over the last
-    // run's list are exact below `same_targets`, where the lists agree.
-    result.hop_rows_searched = hop_matrix.update(g, old_targets);
-    const std::vector<std::uint32_t>& row_changed = hop_matrix.first_changed;
-    const std::vector<std::uint8_t>& hops = hop_matrix.hops;
+    // the caller dropped it).
+    result.hop_rows_searched = hop_matrix.update(g);
     // Targets before `same_targets` are unchanged (lid, switch, port).
     std::size_t same_targets = 0;
     while (same_targets < std::min(n, old_targets.size()) &&
            g.targets[same_targets] == old_targets[same_targets]) {
       ++same_targets;
     }
+    // Each switch's first index in the new list (n when it has none).
+    std::vector<std::uint32_t> rank(s_count, static_cast<std::uint32_t>(n));
+    for (std::size_t i = n; i-- > 0;) {
+      rank[g.targets[i].sw] = static_cast<std::uint32_t>(i);
+    }
     const std::size_t capacity = lft_blocks_for(lids.top_lid()) * kLftBlockSize;
 
     result.lfts.resize(s_count);
     std::atomic<std::size_t> rerouted{0};
+    std::atomic<std::size_t> searched{0};
     ThreadPool::global().parallel_ranges(
         0, s_count, kMinSwitchesPerRange,
         [&](std::size_t begin, std::size_t end) {
-          std::vector<std::uint32_t> port_load(256, 0);
+          SwitchFill fill(g, hop_matrix);
           std::size_t rerouted_here = 0;
           for (std::size_t s = begin; s < end; ++s) {
+            const auto sw = static_cast<SwitchIdx>(s);
             Lft& lft = result.lfts[s];
-            const auto [first, last] = g.out(static_cast<SwitchIdx>(s));
-            // Targets before `keep` keep the ports this table holds.
-            std::size_t keep = 0;
             const bool stale = (s < written.size() && written[s]) ||
                                hop_matrix.edges_changed[s] ||
                                lft.capacity() != capacity;
-            if (!stale) {
-              keep = same_targets;
-              for (const auto* e = first; e != last; ++e) {
-                keep = std::min<std::size_t>(keep, row_changed[e->to]);
-              }
+            if (stale) {
+              fill.refill(sw, lft, lids.top_lid(), capacity);
+            } else if (!fill.delta_fill(sw, lft, old_targets, same_targets,
+                                        rank)) {
+              continue;  // unwritten, so no block is dirty either
             }
-            // Unwritten since the last run, so no block is dirty either.
-            if (!stale && keep == n && n == old_targets.size()) continue;
             ++rerouted_here;
-            std::fill(port_load.begin(), port_load.end(), 0);
-            if (keep == 0) {
-              // All-drop at the cold capacity. Clearing in place allocates
-              // nothing: fresh tables made on pool workers raised peak RSS.
-              if (lft.capacity() == capacity) {
-                lft.clear();
-              } else {
-                lft = Lft(lids.top_lid());
-              }
-            } else {
-              for (std::size_t i = 0; i < keep; ++i) {
-                const auto& target = g.targets[i];
-                if (target.sw == s) continue;
-                const PortNum port = lft.get(target.lid);
-                if (port != kDropPort) ++port_load[port];
-              }
-              for (std::size_t i = keep; i < old_targets.size(); ++i) {
-                lft.set(old_targets[i].lid, kDropPort);
-              }
-            }
-            for (std::size_t i = keep; i < n; ++i) {
-              const auto& target = g.targets[i];
-              PortNum chosen;
-              if (target.sw == s) {
-                chosen = target.port;  // local delivery (port 0 = self)
-              } else {
-                // Minimal hop count via any neighbor, then least-loaded
-                // port, then lowest port: the smallest of one key per edge.
-                std::uint64_t best = kNoRoute;
-                for (const auto* e = first; e != last; ++e) {
-                  const std::uint8_t h =
-                      hops[static_cast<std::size_t>(e->to) * s_count +
-                           target.sw];
-                  const std::uint64_t key =
-                      h == 0xFF ? kNoRoute
-                                : (std::uint64_t{h} + 1) << 40 |
-                                      std::uint64_t{port_load[e->out_port]}
-                                          << 8 |
-                                      e->out_port;
-                  best = std::min(best, key);
-                }
-                chosen = best == kNoRoute ? kDropPort
-                                          : static_cast<PortNum>(best & 0xFF);
-                if (chosen != kDropPort) ++port_load[chosen];
-              }
-              if (chosen != kDropPort) lft.set(target.lid, chosen);
-            }
             lft.clear_dirty();
           }
           rerouted.fetch_add(rerouted_here, std::memory_order_relaxed);
+          searched.fetch_add(fill.searched, std::memory_order_relaxed);
         });
 
     result.routed_targets = g.targets;
     result.switches_rerouted = rerouted.load();
+    result.targets_searched = searched.load();
     result.compute_seconds = watch.elapsed_seconds();
   }
 };

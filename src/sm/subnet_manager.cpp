@@ -76,9 +76,8 @@ void SubnetManager::invalidate_routes() {
 
 const std::vector<std::uint8_t>& SubnetManager::hop_matrix() {
   IBVS_REQUIRE(routing_ready_, "no master tables yet");
-  // Ranked over the last routing run's targets, like that run's own
-  // update: the changes accumulate until the next run reads them.
-  hop_matrix_.update(routing_.graph, routing_.routed_targets);
+  // The changed cells accumulate until the next routing run reads them.
+  hop_matrix_.update(routing_.graph);
   return hop_matrix_.hops;
 }
 
@@ -220,6 +219,8 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
                 std::to_string(routing_.switches_rerouted));
   span.set_attr("hop_rows_searched",
                 std::to_string(routing_.hop_rows_searched));
+  span.set_attr("targets_searched",
+                std::to_string(routing_.targets_searched));
   return routing_;
 }
 

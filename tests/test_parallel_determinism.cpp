@@ -109,10 +109,10 @@ TEST(ParallelDeterminism, ReconvergeStreamMatchesSingleThreaded) {
 }
 
 TEST(ParallelDeterminism, FaultSequenceReconvergesAsSingleThreaded) {
-  // Min-Hop rewrites the master tables in place, re-choosing ports only
-  // from the first target whose inputs changed: cuts, a flap, a spine kill
-  // and the matching repairs, each recovered by reconverge() on a tree
-  // large enough for the hop-matrix update and the fill to fan out.
+  // Min-Hop rewrites the master tables in place, searching out-edges only
+  // for the targets whose old port may no longer win: cuts, a flap, a
+  // spine kill and the matching repairs, each recovered by reconverge() on
+  // a tree large enough for the hop-matrix update and the fill to fan out.
   std::vector<std::vector<Smp>> streams;
   std::vector<std::vector<Lft>> masters;
   std::vector<std::vector<std::size_t>> rerouted;

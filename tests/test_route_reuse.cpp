@@ -6,8 +6,8 @@
 // flapped, switches killed and revived, migrations and topology
 // transactions patching master entries by hand, LIDs created past a block
 // boundary and destroyed, and the engine swapped. A seeded op sequence
-// runs all of these on the 648-node tree and on an irregular fabric and
-// compares after every routing run.
+// runs all of these on the 648-node tree, a small three-level tree and an
+// irregular fabric and compares after every routing run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -66,6 +66,21 @@ struct Subnet {
     auto s = std::make_unique<Subnet>();
     s->built = topology::build_paper_fat_tree(s->fabric,
                                               topology::PaperFatTree::k648);
+    s->finish(/*per_switch=*/3, /*vfs=*/4);
+    return s;
+  }
+
+  /// 4 pods of 4 leaves and 4 spines under 16 cores, radix 8: the spines
+  /// that die are pod spines, with cables up and down.
+  static std::unique_ptr<Subnet> three_level() {
+    auto s = std::make_unique<Subnet>();
+    s->built = topology::build_three_level_fat_tree(
+        s->fabric, topology::ThreeLevelParams{.num_pods = 4,
+                                              .leaves_per_pod = 4,
+                                              .spines_per_pod = 4,
+                                              .num_cores = 16,
+                                              .hosts_per_leaf = 4,
+                                              .radix = 8});
     s->finish(/*per_switch=*/3, /*vfs=*/4);
     return s;
   }
@@ -134,6 +149,7 @@ struct Tally {
   std::size_t block_crossings = 0;  ///< VM creations into a new LFT block
   std::size_t migrations = 0;
   std::size_t link_txns = 0;  ///< committed add/remove-link transactions
+  std::size_t kills = 0;      ///< spines killed (each revived later or not)
   std::size_t routing_runs = 0;
   std::size_t reusing_runs = 0;  ///< runs that left some switch untouched
 };
@@ -194,6 +210,7 @@ Tally run_mixed_sequence(Subnet& s, std::uint64_t seed, std::size_t steps) {
         if (dead == kInvalidNode) {
           dead = spines[rng.below(spines.size())];
           s.injector->kill_node(dead);
+          ++tally.kills;
         }
         break;
       case Op::kRevive:
@@ -314,6 +331,17 @@ TEST(RouteReuse, Tree648MatchesColdAfterEveryRun) {
   expect_every_kind_ran(run_mixed_sequence(*s, /*seed=*/1, /*steps=*/120));
 }
 
+TEST(RouteReuse, ThreeLevelMatchesColdAfterEveryRun) {
+  // A pod-spine kill drops the spine's own LID from every other table for
+  // as long as it is dead, so port loads past it never return to the last
+  // run's: the replayed choices must hold with delta away from zero.
+  auto s = Subnet::three_level();
+  expect_matches_cold(*s->sm, "boot");
+  const Tally t = run_mixed_sequence(*s, /*seed=*/3, /*steps=*/200);
+  expect_every_kind_ran(t);
+  EXPECT_GT(t.kills, 1u);
+}
+
 TEST(RouteReuse, IrregularMatchesColdAfterEveryRun) {
   auto s = Subnet::irregular();
   expect_matches_cold(*s->sm, "boot");
@@ -403,6 +431,46 @@ TEST(RouteReuse, RoutingReadsTheMatrixAPlannerUpdated) {
   s->sm->compute_routes();
   EXPECT_EQ(s->sm->routing_result().hop_rows_searched, 0u);
   expect_matches_cold(*s->sm, "after the remove_link");
+}
+
+TEST(RouteReuse, FlapSearchesNoTargetAndACutFew) {
+  // A flap changes no input: every table is kept without a search. A
+  // leaf-spine cut changes the out-edges of its two ends, which are filled
+  // again from all-drop, and a few hop cells; every other switch keeps its
+  // old port by replay for nearly every target.
+  auto s = Subnet::tree648();
+  const NodeId leaf = s->built.leaves[9];
+  const auto cables = switch_cables(s->fabric);
+  const CableSpec c = *std::find_if(
+      cables.begin(), cables.end(),
+      [&](const CableSpec& x) { return x.a == leaf || x.b == leaf; });
+  const routing::RoutingResult& master = s->sm->routing_result();
+  const std::size_t pairs = master.lfts.size() * master.graph.targets.size();
+  EXPECT_EQ(master.targets_searched, pairs - master.graph.targets.size())
+      << "cold: every pair but each switch's own LID";
+
+  ASSERT_TRUE(s->injector->flap_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  EXPECT_EQ(master.targets_searched, 0u);
+
+  // The two ends search every target but their own LIDs.
+  std::size_t ends = 0;
+  for (const NodeId end : {c.a, c.b}) {
+    const routing::SwitchIdx sw = master.graph.dense(end);
+    ends += static_cast<std::size_t>(std::count_if(
+        master.graph.targets.begin(), master.graph.targets.end(),
+        [&](const routing::SwitchGraph::Target& t) { return t.sw != sw; }));
+  }
+  ASSERT_TRUE(s->injector->cut_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  EXPECT_GT(master.targets_searched, ends);
+  EXPECT_LT(master.targets_searched - ends, pairs / 40);
+  expect_matches_cold(*s->sm, "after the cut");
+  ASSERT_TRUE(s->injector->restore_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  EXPECT_GT(master.targets_searched, ends);
+  EXPECT_LT(master.targets_searched - ends, pairs / 40);
+  expect_matches_cold(*s->sm, "after the restore");
 }
 
 /// Rows of the hop matrix that differ between two graphs of one switch set.

@@ -212,22 +212,36 @@ TEST(FatTreeMultipath, DistinctLidsSameLeafCanUseDifferentSpines) {
 // removal with an addition. A long line saturates the search (0xFE) and
 // cuts disconnect it.
 
-/// Per row u of two S*S matrices, the smallest rank[t] over the columns t
-/// where they differ (~0u when none do).
-std::vector<std::uint32_t> first_changed_rank(
+/// The cells where two S*S matrices differ, in HopMatrix::changed's
+/// layout: bit t % 64 of word u * words + t / 64.
+std::vector<std::uint64_t> changed_cells(
     const std::vector<std::uint8_t>& before,
-    const std::vector<std::uint8_t>& after,
-    const std::vector<std::uint32_t>& rank) {
-  const std::size_t s_count = rank.size();
-  std::vector<std::uint32_t> out(s_count, ~std::uint32_t{0});
+    const std::vector<std::uint8_t>& after, std::size_t s_count) {
+  const std::size_t words = (s_count + 63) / 64;
+  std::vector<std::uint64_t> out(s_count * words, 0);
   for (std::size_t u = 0; u < s_count; ++u) {
     for (std::size_t t = 0; t < s_count; ++t) {
       if (before[u * s_count + t] != after[u * s_count + t]) {
-        out[u] = std::min(out[u], rank[t]);
+        out[u * words + t / 64] |= std::uint64_t{1} << t % 64;
       }
     }
   }
   return out;
+}
+
+/// Rows with at least one bit set in a changed-cell bitset.
+std::size_t rows_with_changes(const std::vector<std::uint64_t>& cells,
+                              std::size_t s_count) {
+  const std::size_t words = (s_count + 63) / 64;
+  std::size_t rows = 0;
+  for (std::size_t u = 0; u < s_count; ++u) {
+    const auto row = cells.begin() + static_cast<std::ptrdiff_t>(u * words);
+    if (std::any_of(row, row + static_cast<std::ptrdiff_t>(words),
+                    [](std::uint64_t w) { return w != 0; })) {
+      ++rows;
+    }
+  }
+  return rows;
 }
 
 struct HopTally {
@@ -238,19 +252,19 @@ struct HopTally {
 
 /// Runs `batches` random batches of cable changes on `fabric`. After each,
 /// the matrix brought up to date by HopMatrix::update() must equal a fresh
-/// switch_hop_matrix(), its first-changed ranks the brute force's and its
-/// changed edges a per-switch comparison. Every third batch piles onto the
-/// previous one without clear_changes(): the ranks must then be the
-/// running minimum over both batches, each under its own targets.
+/// switch_hop_matrix(), its changed cells a brute-force cell diff of the
+/// old and new matrices and its changed edges a per-switch comparison.
+/// Every third batch piles onto the previous one without clear_changes():
+/// the cells must then be the union over both batches.
 HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
                            std::size_t batches) {
   SplitMix64 rng(seed);
-  const LidMap lids;  // no LIDs: the batches hand the matrix their own targets
+  const LidMap lids;  // the matrix only reads the switch graph
   const std::vector<NodeId> ids = fabric.switch_ids();
   routing::SwitchGraph graph = routing::SwitchGraph::build(fabric, lids);
   routing::HopMatrix matrix;
-  matrix.update(graph, {});
-  std::vector<std::uint32_t> want_ranks;  // expected first_changed
+  matrix.update(graph);
+  std::vector<std::uint64_t> want_cells;  // expected changed
   std::vector<bool> want_edges;           // expected edges_changed
   std::vector<CableSpec> cut;  // removed cables, to plug back later
   HopTally tally;
@@ -305,19 +319,9 @@ HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
     }
     const routing::SwitchGraph next = routing::SwitchGraph::build(fabric, lids);
     const std::size_t s_count = next.num_switches();
-    // Targets at random switches: column t ranks at switch t's first one.
-    std::vector<routing::SwitchGraph::Target> targets(s_count);
-    for (auto& t : targets) {
-      t.sw = static_cast<routing::SwitchIdx>(rng.below(s_count));
-    }
-    std::vector<std::uint32_t> rank(s_count,
-                                    static_cast<std::uint32_t>(s_count));
-    for (std::size_t i = s_count; i-- > 0;) {
-      rank[targets[i].sw] = static_cast<std::uint32_t>(i);
-    }
     const std::vector<std::uint8_t> expected = routing::switch_hop_matrix(next);
-    const std::vector<std::uint32_t> want =
-        first_changed_rank(matrix.hops, expected, rank);
+    const std::vector<std::uint64_t> want =
+        changed_cells(matrix.hops, expected, s_count);
     std::vector<bool> moved(s_count);
     for (routing::SwitchIdx s = 0; s < s_count; ++s) {
       const auto [a, b] = graph.out(s);
@@ -325,25 +329,23 @@ HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
       moved[s] = !std::equal(a, b, c, d);
     }
     if (batch % 3 == 2) {
+      for (std::size_t w = 0; w < want.size(); ++w) want_cells[w] |= want[w];
       for (std::size_t s = 0; s < s_count; ++s) {
-        want_ranks[s] = std::min(want_ranks[s], want[s]);
         want_edges[s] = want_edges[s] || moved[s];
       }
     } else {
       matrix.clear_changes();
-      want_ranks = want;
+      want_cells = want;
       want_edges = moved;
     }
 
-    const std::size_t searched = matrix.update(next, targets);
+    const std::size_t searched = matrix.update(next);
     EXPECT_EQ(matrix.hops, expected) << "batch " << batch;
-    EXPECT_EQ(matrix.first_changed, want_ranks) << "batch " << batch;
+    EXPECT_EQ(matrix.changed, want_cells) << "batch " << batch;
     EXPECT_EQ(matrix.edges_changed, want_edges) << "batch " << batch;
     if (::testing::Test::HasFailure()) return tally;
 
-    const auto changed = static_cast<std::size_t>(std::count_if(
-        want.begin(), want.end(),
-        [](std::uint32_t r) { return r != ~std::uint32_t{0}; }));
+    const std::size_t changed = rows_with_changes(want, s_count);
     EXPECT_GE(searched, changed) << "batch " << batch;
     EXPECT_LE(searched, s_count) << "batch " << batch;
     tally.rows += s_count;
@@ -395,21 +397,27 @@ TEST(HopMatrix, ColdSearchesEveryRowAndNoChangeSearchesNone) {
   const std::vector<std::uint8_t> fresh = routing::switch_hop_matrix(graph);
   const std::vector<bool> every(s_count, true);
 
+  // Cold, every reachable cell changed from unreachable.
+  const std::vector<std::uint64_t> every_cell = changed_cells(
+      std::vector<std::uint8_t>(s_count * s_count, 0xFF), fresh, s_count);
+
   routing::HopMatrix matrix;
-  EXPECT_EQ(matrix.update(graph, {}), s_count);  // no matrix yet
+  EXPECT_EQ(matrix.update(graph), s_count);  // no matrix yet
   EXPECT_EQ(matrix.hops, fresh);
+  EXPECT_EQ(matrix.changed, every_cell);
   EXPECT_EQ(matrix.edges_changed, every);
   matrix.adj_offset.clear();
-  EXPECT_EQ(matrix.update(graph, {}), s_count);  // no previous adjacency
+  EXPECT_EQ(matrix.update(graph), s_count);  // no previous adjacency
   EXPECT_EQ(matrix.hops, fresh);
   matrix.clear_changes();
-  EXPECT_EQ(matrix.update(graph, {}), 0u);
-  EXPECT_EQ(matrix.first_changed,
-            std::vector<std::uint32_t>(s_count, ~std::uint32_t{0}));
+  EXPECT_EQ(matrix.update(graph), 0u);
+  EXPECT_EQ(matrix.changed,
+            std::vector<std::uint64_t>(every_cell.size(), 0));
   EXPECT_EQ(matrix.edges_changed, std::vector<bool>(s_count, false));
   EXPECT_EQ(matrix.hops, fresh);
   matrix.reset();  // dropped, as invalidate_routes() does
-  EXPECT_EQ(matrix.update(graph, {}), s_count);
+  EXPECT_EQ(matrix.update(graph), s_count);
+  EXPECT_EQ(matrix.changed, every_cell);
   EXPECT_EQ(matrix.hops, fresh);
   EXPECT_EQ(matrix.edges_changed, every);
   EXPECT_EQ(matrix.rows_searched, 3 * s_count);
