@@ -1,5 +1,5 @@
-// Checker makespan scaling: the FabricChecker's blocked bitset-reachability
-// pass across thread counts and paper fat-trees.
+// Checker makespan scaling: the FabricChecker's memoized reachability walk
+// across thread counts and paper fat-trees.
 //
 // The checker is the hot loop of every chaos convergence assertion (one full
 // check per injected fault), so its makespan bounds how fast the harness can
@@ -7,17 +7,17 @@
 // microseconds:
 //
 //   checker_us   full FabricChecker::check() (duplicate LIDs, LidMap
-//                consistency, and the sharded reachability pass — the last
+//                consistency, and the sharded reachability walk — the last
 //                dominating by orders of magnitude),
 //   reach_pairs  (source, target) walks the reachability pass covers, i.e.
-//                paths_traced of the report: the work the bitset pass
+//                paths_traced of the report: the work the memoized walk
 //                replays against the serial per-pair trace contract.
 //
 // `--json-out <file>` writes the rows as JSON (schema "checker_scaling");
 // CI's perf-smoke job runs it with IBVS_FIG7_LARGE=1 and checks that the
-// makespan does not regress with threads at any topology. `--threads <n>` restricts the
-// sweep to one thread count; default sweeps 1/2/4/8. IBVS_FIG7_LARGE=1 adds
-// the 5832-node tree (the acceptance topology for the single-thread win).
+// makespan does not regress with threads at any topology. `--threads <n>`
+// restricts the sweep to one thread count; default sweeps 1/2/4/8.
+// IBVS_FIG7_LARGE=1 adds the 5832-node tree, where the walk shards.
 #include <benchmark/benchmark.h>
 
 #include <thread>
@@ -121,8 +121,8 @@ void write_json(const std::string& path, const std::vector<Row>& rows) {
 
 std::vector<Row> run_sweep(const std::vector<std::size_t>& thread_counts) {
   std::vector<Row> rows;
-  std::printf("\nChecker makespan scaling (wall-clock us; bitset "
-              "reachability pass, 16 sampled sources)\n");
+  std::printf("\nChecker makespan scaling (wall-clock us; memoized "
+              "reachability walk, 16 sampled sources)\n");
   std::printf("%-34s %8s %8s %8s %12s %12s %10s\n", "topology", "switches",
               "threads", "sources", "reach-pairs", "checker", "speedup");
   bench::rule(100);

@@ -5,13 +5,14 @@
 // fabric — the same hardware tables a packet would actually traverse:
 //
 //   * reachability — every assigned LID with a physical attachment is
-//     delivered from every (sampled) CA endpoint. Implemented as a blocked
-//     bitset-reachability pass: per-switch next-hop composition over flat
-//     uint64_t target bitsets, sharded across pool workers in contiguous
-//     target (LID) ranges on large fabrics (see kMinTargetsPerShard), with
-//     a serial index-ordered merge that
-//     reproduces a hop-by-hop per-pair trace scan byte for byte (same
-//     violations, same cap/truncation point, same paths_traced),
+//     delivered from every (sampled) CA endpoint. Each (source, target)
+//     pair is walked hop by hop under fabric::trace_unicast's rules, with
+//     each physical switch's verdict for a target memoized across sources
+//     (a switch forwards independently of its ingress port). Large fabrics
+//     shard the walks across pool workers in contiguous target (LID)
+//     ranges (see kMinTargetsPerShard), and a serial index-ordered merge
+//     reproduces a per-pair trace scan byte for byte (same violations,
+//     same cap/truncation point, same paths_traced),
 //   * no routing loops — a walk exceeding its hop budget means the LFTs
 //     form a forwarding cycle,
 //   * LFT <-> LidMap consistency — the attachment switch of every LID
@@ -56,13 +57,15 @@ struct CheckReport {
 
 class FabricChecker {
  public:
-  /// Smallest target (LID) range the reachability pass hands one pool
+  /// Smallest target (LID) range the reachability walk hands one pool
   /// worker; a fabric with fewer than twice this many targets is checked
-  /// inline. Measured on 4 cores with 16 sources: the fully populated
-  /// 648-node tree (702 targets) took 210 us serial against 342 us in four
-  /// shards, while the 5832-node recovery fabric (~1620 targets, 8 sources)
-  /// took 1.9 ms in four shards against 3.1 ms serial. Larger fabrics take
-  /// one shard per worker (see check_reachability).
+  /// inline. Measured on 4 workers (medians of interleaved rounds, each
+  /// the best of 5 checks): on large-fabric-recovery's 5832-node fabric
+  /// (~1620 targets, 8 sources) 384 took 1.5 ms against 2.1 ms on one
+  /// thread and 1.6 ms with one range per worker; 128 read 1.2 ms but
+  /// would also shard the 324- and 648-node trees. On the full 5832-node
+  /// tree (6804 targets, 16 sources) 128 to 768 all took 4.8-5.2 ms, one
+  /// range per worker 6.0 ms.
   static constexpr std::size_t kMinTargetsPerShard = 384;
 
   explicit FabricChecker(const sm::SubnetManager& sm,

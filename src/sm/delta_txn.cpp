@@ -142,11 +142,17 @@ SmpCost undo_cabling(SubnetManager& sm, const TopologyPayload& t) {
   transport.invalidate_topology();
 
   SmpCost cost;
-  if (!t.subject_lid.valid()) return cost;
-  if (t.op == TopologyOp::kAttachSwitch && sm.lids().assigned(t.subject_lid) &&
-      sm.lids().owner(t.subject_lid).node == t.subject) {
-    sm.lids().release(fabric, t.subject_lid);
-  } else if (t.op == TopologyOp::kDetachSwitch &&
+  if (t.op == TopologyOp::kAttachSwitch) {
+    // Whatever LID the subject holds goes, not only the journaled one: a
+    // standby's takeover sweep can address a freshly cabled subject before
+    // the record journals its LID.
+    for (const Lid lid : {t.subject_lid, fabric.node(t.subject).lid()}) {
+      if (lid.valid() && sm.lids().assigned(lid) &&
+          sm.lids().owner(lid).node == t.subject) {
+        sm.lids().release(fabric, lid);
+      }
+    }
+  } else if (t.op == TopologyOp::kDetachSwitch && t.subject_lid.valid() &&
              !sm.lids().assigned(t.subject_lid)) {
     // Directed-route PortInfo: the re-plugged switch's LID is not
     // installed anywhere yet.

@@ -77,8 +77,8 @@ SmpCost undo_addresses(SubnetManager& sm, const MigrationPayload& m,
 
 /// Cabling undo: unplugs the added cables or re-plugs the removed ones,
 /// tolerating cables the mutation never reached or something else changed
-/// since; then releases an attach subject's LID, or re-assigns a detach
-/// subject's with its PortInfo SMP.
+/// since; then releases any LID an attach subject holds, or re-assigns a
+/// detach subject's with its PortInfo SMP.
 SmpCost undo_cabling(SubnetManager& sm, const TopologyPayload& t);
 
 }  // namespace ibvs::sm

@@ -51,6 +51,17 @@ struct SweepMetrics {
   }
 };
 
+/// A switch without a cable is outside the subnet (an attach subject
+/// before its cabling, a switch a detach severed): a sweep assigns it no
+/// LID. One that already holds a LID (a killed switch) keeps it: adopting
+/// it reserves the LID for the switch's return.
+bool cabled(const Node& n) {
+  for (PortNum p = 1; p <= n.num_ports(); ++p) {
+    if (n.ports[p].connected()) return true;
+  }
+  return false;
+}
+
 }  // namespace
 
 SubnetManager::SubnetManager(Fabric& fabric, NodeId sm_host,
@@ -165,7 +176,7 @@ std::size_t SubnetManager::assign_lids() {
   for (NodeId id = 0; id < fabric_.size(); ++id) {
     const Node& n = fabric_.node(id);
     if (n.is_physical_switch()) {
-      if (!n.lid().valid()) {
+      if (!n.lid().valid() && cabled(n)) {
         assign_lid(id, 0);
         ++assigned;
       }

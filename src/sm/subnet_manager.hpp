@@ -82,14 +82,15 @@ class SubnetManager {
 
   /// Adopts LIDs already programmed into the fabric's ports (what a real
   /// OpenSM does when taking over a running subnet: honor existing
-  /// assignments read back via PortInfo). Returns how many were adopted.
+  /// assignments read back via PortInfo), including a killed switch's, so
+  /// the LID waits for its return. Returns how many were adopted.
   /// Idempotent; called automatically by assign_lids().
   std::size_t adopt_lids();
 
-  /// Assigns LIDs to every unaddressed switch (port 0) and CA port, in node
-  /// order, after adopting existing ones. vSwitches share their PF's LID
-  /// (§V: "the vSwitch does not need to occupy an additional LID").
-  /// Returns how many were newly assigned.
+  /// Assigns LIDs to every unaddressed cabled switch (port 0) and CA port,
+  /// in node order, after adopting existing ones. vSwitches share their
+  /// PF's LID (§V: "the vSwitch does not need to occupy an additional
+  /// LID"). Returns how many were newly assigned.
   std::size_t assign_lids();
 
   /// Assigns a LID to one port and accounts the PortInfo SMP.

@@ -319,13 +319,8 @@ Snapshot snapshot(sm::SubnetManager& sm) {
     s.master.emplace(id, result.lfts[i]);
     s.installed.emplace(id, sm.fabric().node(id).lft);
   }
-  // A takeover sweep addresses every switch in the fabric, cabled or not;
-  // owners without a cable are outside the subnet.
   for (const Lid lid : sm.lids().assigned_lids()) {
-    const LidMap::Owner owner = sm.lids().owner(lid);
-    if (!sm.fabric().cables_of(owner.node).empty()) {
-      s.lids.emplace_back(lid, owner);
-    }
+    s.lids.emplace_back(lid, sm.lids().owner(lid));
   }
   return s;
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include "fabric/trace.hpp"
+#include "inject/checker.hpp"
+#include "inject/injector.hpp"
 #include "routing/verify.hpp"
 #include "sm/election.hpp"
 #include "tests/helpers.hpp"
@@ -99,6 +101,35 @@ TEST_F(ElectionTest, TakeoverOfUnchangedSubnetSendsNoLftSmps) {
   // distribution found every installed block already correct.
   const auto& counters = election.master_sm()->transport().counters();
   EXPECT_EQ(counters.lft_block_writes, 0u);
+}
+
+TEST_F(ElectionTest, KilledSwitchKeepsItsLidAcrossFailover) {
+  // A takeover sweep adopts a dead switch's LID although the switch has no
+  // cable: a host addressed before the switch returns must not get it.
+  sm::SmElection election(s.fabric, engine_factory());
+  election.add_candidate(s.hosts[0], 5);
+  election.add_candidate(s.hosts[11], 3);
+  election.elect();
+  election.master_sweep();
+  inject::FaultInjector injector(s.fabric);
+  const NodeId spine = s.built.spines[0];
+  const Lid spine_lid = s.fabric.node(spine).lid();
+  injector.kill_node(spine);
+  election.fail_candidate(0);
+  election.poll();
+  sm::SubnetManager& sm = *election.master_sm();
+  EXPECT_TRUE(sm.lids().assigned(spine_lid));
+
+  const NodeId leaf = s.built.leaves[1];
+  const NodeId late = s.fabric.add_ca("late-host");
+  s.fabric.connect(late, 1, leaf, *s.fabric.free_port(leaf));
+  sm.transport().invalidate_topology();
+  EXPECT_NE(sm.assign_lid(late, 1), spine_lid);
+  injector.revive_node(spine);
+  sm.transport().invalidate_topology();
+  EXPECT_TRUE(sm.reconverge().converged);
+  const auto report = inject::FabricChecker(sm).check();
+  EXPECT_TRUE(report.clean()) << report.violations.front();
 }
 
 TEST_F(ElectionTest, NoEligibleCandidates) {

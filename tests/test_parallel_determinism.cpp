@@ -244,15 +244,16 @@ TEST(ParallelDeterminism, IntCongestionMapMatchesSingleThreaded) {
 }
 
 // ---------------------------------------------------------------------------
-// Serial-trace oracle for the bitset reachability pass.
+// Serial-trace oracle for the checker's memoized reachability walk.
 //
 // The checker's contract is that its report is byte-identical to what a
-// per-(source, target) trace_unicast scan would produce. The bitset pass
-// earns its speed through cross-source memoization, inline vSwitch hops,
-// and dense per-switch plans — each an opportunity to diverge. This oracle
-// replays the checker's exact source sampling and target collection, walks
-// every pair with the serial tracer, and formats findings the way the
-// checker does, truncation semantics included.
+// per-(source, target) trace_unicast scan would produce. The walk earns
+// its speed by memoizing each physical switch's verdict across sources and
+// by detecting loops as a revisit of its own path, and it runs vSwitch hops
+// unmemoized — each an opportunity to diverge. This oracle replays the
+// checker's exact source sampling and target collection, walks every pair
+// with the serial tracer, and formats findings the way the checker does,
+// truncation semantics included.
 
 struct SerialExpectation {
   std::vector<std::string> violations;
@@ -291,10 +292,11 @@ std::vector<Lid> checker_targets(const sm::SubnetManager& sm) {
 constexpr std::size_t kShardedTargets =
     2 * inject::FabricChecker::kMinTargetsPerShard;
 
-SerialExpectation serial_reference(const sm::SubnetManager& sm,
-                                   const inject::CheckerConfig& config) {
+/// The checker's reachability sources: `max_sources` CA endpoints with a
+/// physical attachment, evenly spaced in NodeId order (0 = all).
+std::vector<NodeId> sampled_sources(const sm::SubnetManager& sm,
+                                    std::size_t max_sources) {
   const Fabric& fabric = sm.fabric();
-
   std::vector<NodeId> sources;
   for (NodeId id = 0; id < fabric.size(); ++id) {
     const Node& n = fabric.node(id);
@@ -302,17 +304,23 @@ SerialExpectation serial_reference(const sm::SubnetManager& sm,
     if (!fabric.physical_attachment(id)) continue;
     sources.push_back(id);
   }
-  if (config.max_sources > 0 && sources.size() > config.max_sources) {
+  if (max_sources > 0 && sources.size() > max_sources) {
     std::vector<NodeId> sampled;
     const std::size_t n = sources.size();
-    const std::size_t k = config.max_sources;
+    const std::size_t k = max_sources;
     for (std::size_t i = 0; i < k; ++i) {
       sampled.push_back(sources[k > 1 ? i * (n - 1) / (k - 1) : 0]);
     }
     sampled.erase(std::unique(sampled.begin(), sampled.end()), sampled.end());
     sources = std::move(sampled);
   }
+  return sources;
+}
 
+SerialExpectation serial_reference(const sm::SubnetManager& sm,
+                                   const inject::CheckerConfig& config) {
+  const Fabric& fabric = sm.fabric();
+  const std::vector<NodeId> sources = sampled_sources(sm, config.max_sources);
   const std::vector<Lid> targets = checker_targets(sm);
 
   SerialExpectation out;
@@ -342,6 +350,9 @@ SerialExpectation serial_reference(const sm::SubnetManager& sm,
   return out;
 }
 
+/// Sources the oracle samples.
+constexpr std::size_t kOracleSources = 5;
+
 /// First port of `node` cabled to `peer` (0 when not adjacent).
 PortNum port_towards(const Fabric& fabric, NodeId node, NodeId peer) {
   const Node& n = fabric.node(node);
@@ -355,8 +366,8 @@ PortNum port_towards(const Fabric& fabric, NodeId node, NodeId peer) {
 /// a generous cap and at a truncating one.
 void expect_matches_serial(const sm::SubnetManager& sm) {
   const inject::CheckerConfig configs[] = {
-      {.max_violations = 500, .max_sources = 5},
-      {.max_violations = 3, .max_sources = 5},
+      {.max_violations = 500, .max_sources = kOracleSources},
+      {.max_violations = 3, .max_sources = kOracleSources},
   };
   for (const auto& config : configs) {
     const SerialExpectation expected = serial_reference(sm, config);
@@ -444,6 +455,91 @@ TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenVirtualFabric) {
   s.fabric.node(s.built.leaves[1])
       .lft.set(vf_lid, port_towards(fabric, s.built.leaves[1], spine0));
   s.fabric.node(spine1).lft.clear();
+
+  expect_matches_serial(*s.sm);
+}
+
+TEST(ParallelDeterminism, CheckerMatchesSerialTraceOnBrokenThreeLevelFabric) {
+  // 4 pods of 4 leaves and 4 spines under 16 cores (core c reaches spine
+  // c / 4 of every pod), hypervisors on three slots of every leaf. A later
+  // source's walk meets an earlier verdict at the second or third physical
+  // switch of its path (a pod spine or a core), which the 2-level fabrics
+  // above never reach.
+  constexpr std::size_t kLeavesPerPod = 4;
+  constexpr std::size_t kSlotsPerLeaf = 4;
+  VirtualSubnet s;
+  s.built = topology::build_three_level_fat_tree(
+      s.fabric, topology::ThreeLevelParams{.num_pods = 4,
+                                           .leaves_per_pod = kLeavesPerPod,
+                                           .spines_per_pod = 4,
+                                           .num_cores = 16,
+                                           .hosts_per_leaf = kSlotsPerLeaf,
+                                           .radix = 8});
+  // The fourth slot of every leaf stays free for the SM and for one
+  // dual-homed host: its port-2 LID attaches to another leaf than its
+  // port 1, the one way a source's walk to its own LID can miss it.
+  std::vector<topology::HostSlot> hyp_slots;
+  std::vector<topology::HostSlot> spare;
+  for (std::size_t i = 0; i < s.built.host_slots.size(); ++i) {
+    (i % kSlotsPerLeaf < 3 ? hyp_slots : spare)
+        .push_back(s.built.host_slots[i]);
+  }
+  s.hyps = core::attach_hypervisors(s.fabric, hyp_slots, /*num_vfs=*/16);
+  s.sm_node = s.fabric.add_ca("sm-node");
+  s.fabric.connect(s.sm_node, 1, spare[0].leaf, spare[0].port);
+  const NodeId dual = s.fabric.add_ca("dual-host", 2);
+  const topology::HostSlot home = spare[spare.size() - 1];
+  const topology::HostSlot away = spare[spare.size() - 2];
+  s.fabric.connect(dual, 1, home.leaf, home.port);
+  s.fabric.connect(dual, 2, away.leaf, away.port);
+  s.fabric.validate();
+  s.sm = std::make_unique<sm::SubnetManager>(
+      s.fabric, s.sm_node, routing::make_engine(routing::EngineKind::kMinHop));
+  s.vsf = std::make_unique<core::VSwitchFabric>(
+      *s.sm, s.hyps, core::LidScheme::kPrepopulated);
+  s.vsf->boot();
+  ASSERT_GE(checker_targets(*s.sm).size(), kShardedTargets);
+  const Fabric& fabric = s.fabric;
+  const auto leaf = [&](std::size_t pod, std::size_t l) {
+    return s.built.leaves[pod * kLeavesPerPod + l];
+  };
+  const auto spine = [&](std::size_t pod, std::size_t k) {
+    return s.built.spines[pod * 4 + k];
+  };
+  /// VF `k` of the first hypervisor on leaf `l` of `pod`.
+  const auto vf_lid = [&](std::size_t pod, std::size_t l, std::size_t k) {
+    return fabric.node(s.hyps[(pod * kLeavesPerPod + l) * 3].vfs[k]).lid();
+  };
+  const NodeId core0 = s.built.cores[0];
+  const std::vector<NodeId> sources = sampled_sources(*s.sm, kOracleSources);
+  ASSERT_EQ(sources.back(), dual);
+
+  // kLoop between pod 0's spine 0 and core 0 for a pod-3 LID, entered from
+  // every leaf of pods 0 and 1 (pod 1 through its spine 0).
+  const Lid loop_lid = vf_lid(3, 1, 1);
+  for (const std::size_t pod : {0, 1}) {
+    for (std::size_t l = 0; l < kLeavesPerPod; ++l) {
+      s.fabric.node(leaf(pod, l))
+          .lft.set(loop_lid, port_towards(fabric, leaf(pod, l), spine(pod, 0)));
+    }
+    s.fabric.node(spine(pod, 0))
+        .lft.set(loop_lid, port_towards(fabric, spine(pod, 0), core0));
+  }
+  s.fabric.node(core0).lft.set(loop_lid,
+                               port_towards(fabric, core0, spine(0, 0)));
+  // kDropped at every core for a pod-2 LID.
+  const Lid drop_lid = vf_lid(2, 1, 1);
+  for (const NodeId core : s.built.cores) {
+    s.fabric.node(core).lft.set(drop_lid, kDropPort);
+  }
+  // kDropped inside a vSwitch: the second source's leaf sends a pod-3 LID
+  // back down to that source's own vSwitch, which it entered first from
+  // the source's side.
+  const auto [src_leaf, to_vswitch] = *fabric.physical_attachment(sources[1]);
+  s.fabric.node(src_leaf).lft.set(vf_lid(3, 2, 2), to_vswitch);
+  // The dual-homed host's home leaf drops its port-2 LID: every walk to it
+  // from the host itself fails, yet the trace delivers it by loopback.
+  s.fabric.node(home.leaf).lft.set(fabric.node(dual).ports[2].lid, kDropPort);
 
   expect_matches_serial(*s.sm);
 }
