@@ -52,6 +52,10 @@ struct RoutingResult {
   /// only those whose old port could not be replayed. 0 for the other
   /// engines.
   std::size_t targets_searched = 0;
+  /// Min-Hop delta-fill steps this run took: the targets of the last run's
+  /// list and the new one that the walks of unwritten switches passed
+  /// before stopping. 0 when cold and for the other engines.
+  std::size_t targets_walked = 0;
 
   /// The target list the run routed, kept with the tables it wrote so the
   /// next in-place run can tell which targets changed. Only Min-Hop fills

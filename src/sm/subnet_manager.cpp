@@ -232,6 +232,7 @@ const routing::RoutingResult& SubnetManager::compute_routes() {
                 std::to_string(routing_.hop_rows_searched));
   span.set_attr("targets_searched",
                 std::to_string(routing_.targets_searched));
+  span.set_attr("targets_walked", std::to_string(routing_.targets_walked));
   return routing_;
 }
 

@@ -393,7 +393,7 @@ TEST(Chaos, LegacySeedDigestPinned) {
   config.mad_faults.drop_probability = 0.02;
   const auto report = inject::run_chaos(cloud, injector, config);
   EXPECT_EQ(report.checker_violations, 0u);
-  EXPECT_EQ(report.digest, 0x47c0542d79d8965cULL);
+  EXPECT_EQ(report.digest, 0xe59d38836bfc691eULL);
 }
 
 TEST(Chaos, RecoversWithZeroViolationsAcrossSeeds) {

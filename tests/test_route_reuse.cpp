@@ -333,8 +333,9 @@ TEST(RouteReuse, Tree648MatchesColdAfterEveryRun) {
 
 TEST(RouteReuse, ThreeLevelMatchesColdAfterEveryRun) {
   // A pod-spine kill drops the spine's own LID from every other table for
-  // as long as it is dead, so port loads past it never return to the last
-  // run's: the replayed choices must hold with delta away from zero.
+  // as long as it is dead, and changes the hop columns of the leaves under
+  // it: the replayed choices must hold with delta away from zero, and the
+  // walk must not stop before the last changed column.
   auto s = Subnet::three_level();
   expect_matches_cold(*s->sm, "boot");
   const Tally t = run_mixed_sequence(*s, /*seed=*/3, /*steps=*/200);
@@ -471,6 +472,36 @@ TEST(RouteReuse, FlapSearchesNoTargetAndACutFew) {
   EXPECT_GT(master.targets_searched, ends);
   EXPECT_LT(master.targets_searched - ends, pairs / 40);
   expect_matches_cold(*s->sm, "after the restore");
+}
+
+TEST(RouteReuse, FlapWalksNothingAndAPodSpineKillStopsEarly) {
+  // The walk stops where the loads agree again, past the last changed
+  // column and inside the lists' common tail. Without the stop, each
+  // switch walks from its k_s to the end of both lists: an instrumented
+  // run of this sequence walked 0 targets for the flap and 3,375 each for
+  // the kill and the revive, against 1,527 each with the stop.
+  constexpr std::size_t kKillWalk = 3375;
+  constexpr std::size_t kReviveWalk = 3375;
+  auto s = Subnet::three_level();
+  const routing::RoutingResult& master = s->sm->routing_result();
+  const NodeId spine = s->built.spines[5];
+  const CableSpec c = s->fabric.cables_of(spine).front();
+
+  ASSERT_TRUE(s->injector->flap_link(c.a, c.port_a));
+  s->sm->compute_routes();
+  EXPECT_EQ(master.targets_walked, 0u);
+
+  ASSERT_TRUE(s->injector->kill_node(spine));
+  s->sm->compute_routes();
+  expect_matches_cold(*s->sm, "after the kill");
+  EXPECT_GT(master.targets_walked, 0u);
+  EXPECT_LT(master.targets_walked, kKillWalk);
+
+  ASSERT_TRUE(s->injector->revive_node(spine));
+  s->sm->compute_routes();
+  expect_matches_cold(*s->sm, "after the revive");
+  EXPECT_GT(master.targets_walked, 0u);
+  EXPECT_LT(master.targets_walked, kReviveWalk);
 }
 
 /// Rows of the hop matrix that differ between two graphs of one switch set.

@@ -131,48 +131,48 @@ sm::TopologyTxn interrupted_detach(VirtualSubnet& s,
 
 const std::vector<Case>& cases() {
   static const std::vector<Case> all = {
-      {"copy-migration", kDyn, 0x597b3c64a8650553, migrate()},
-      {"prepopulated-migration", kPre, 0xd75f6944ea7d6ef3, migrate()},
-      {"drain-first", kDyn, 0x2a585f728b80ff62,
+      {"copy-migration", kDyn, 0x1e1f53a149fe71d1, migrate()},
+      {"prepopulated-migration", kPre, 0xf8400e6966ae8918, migrate()},
+      {"drain-first", kDyn, 0x7c63a3429780b4a4,
        migrate({.drain_first = true})},
-      {"minimal-mode", kPre, 0xe9dfff034169fad0,
+      {"minimal-mode", kPre, 0x1c0a6af6ea1bbbae,
        migrate({.mode = core::ReconfigMode::kMinimal})},
-      {"destination-swap", kDyn, 0xec8945cd47f28ab3,
+      {"destination-swap", kDyn, 0xe62f58c56eb9902e,
        [](VirtualSubnet& s, sm::TopologyTxnManager&) {
          const auto a = s.create_on(0);
          const auto b = s.create_on(3);
          s.vsf->swap_vms(a, b);
        }},
-      {"attach", kDyn, 0x13ae35d954e06475,
+      {"attach", kDyn, 0x765ae7d487ee4c72,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          auto txn = begin_attach(s, topo);
          topo.txn_mutate(txn);
          topo.txn_reroute(txn);
          topo.txn_commit(txn);
        }},
-      {"detach", kDyn, 0xed724d8d9c14c115,
+      {"detach", kDyn, 0x936446d758d6264a,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          topo.detach_switch(s.built.leaves[3]);
        }},
-      {"add-link", kDyn, 0x988af5a35fb4728e,
+      {"add-link", kDyn, 0x709087541c7767c9,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          const NodeId leaf = s.built.leaves[0];
          const NodeId spine = s.built.spines[0];
          topo.add_link({leaf, *s.fabric.free_port(leaf), spine,
                         *s.fabric.free_port(spine)});
        }},
-      {"remove-link", kDyn, 0xfdcbead97486f17c,
+      {"remove-link", kDyn, 0xc7b11ea2e8a3206b,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          const NodeId leaf = s.built.leaves[0];
          topo.remove_link(leaf,
                           uplink_port(s.fabric, leaf, s.built.spines[0]));
        }},
-      {"migration-abort-rollback", kPre, 0xef19ae4171ec56bf,
+      {"migration-abort-rollback", kPre, 0xafd39e4860380e24,
        [](VirtualSubnet& s, sm::TopologyTxnManager&) {
          auto txn = interrupted_migration(s, s.create_on(0));
          s.vsf->txn_rollback(txn);
        }},
-      {"swap-abort-rollback", kDyn, 0xba696329df0811be,
+      {"swap-abort-rollback", kDyn, 0xe62a40f282919517,
        [](VirtualSubnet& s, sm::TopologyTxnManager&) {
          const auto a = s.create_on(0);
          const auto b = s.create_on(3);
@@ -182,25 +182,25 @@ const std::vector<Case>& cases() {
                       core::MigrationError);
          s.vsf->txn_rollback(txn);
        }},
-      {"detach-abort-rollback", kDyn, 0x50a740af3a3d9c61,
+      {"detach-abort-rollback", kDyn, 0xd384b3212a05767e,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          auto txn = interrupted_detach(s, topo);
          topo.txn_rollback(txn);
        }},
-      {"attach-rollback", kDyn, 0xb9d9e0278f3aa5d4,
+      {"attach-rollback", kDyn, 0x35386f087f661c7f,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          auto txn = begin_attach(s, topo);
          topo.txn_mutate(txn);
          topo.txn_reroute(txn);
          topo.txn_rollback(txn);
        }},
-      {"migration-recover-forward", kPre, 0xd75f6944ea7d6ef3,
+      {"migration-recover-forward", kPre, 0xf8400e6966ae8918,
        [](VirtualSubnet& s, sm::TopologyTxnManager&) {
          interrupted_migration(s, s.create_on(0));
          EXPECT_EQ(s.vsf->journal().recover(*s.sm).rolled_forward, 1u);
          EXPECT_EQ(s.vsf->reconcile_with_journal().committed, 1u);
        }},
-      {"migration-recover-back", kDyn, 0xf25068588d68ae5a,
+      {"migration-recover-back", kDyn, 0x5be15f73b7bd78e4,
        [](VirtualSubnet& s, sm::TopologyTxnManager&) {
          const auto vm = s.create_on(0);
          auto txn = s.vsf->begin_migration(vm, 3);
@@ -208,18 +208,18 @@ const std::vector<Case>& cases() {
          EXPECT_EQ(s.vsf->journal().recover(*s.sm).rolled_back, 1u);
          EXPECT_EQ(s.vsf->reconcile_with_journal().rolled_back, 1u);
        }},
-      {"detach-recover-forward", kDyn, 0x152c9dfc44bdc215,
+      {"detach-recover-forward", kDyn, 0xbb1e9746017f274a,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          interrupted_detach(s, topo);
          EXPECT_EQ(s.vsf->journal().recover(*s.sm).rolled_forward, 1u);
        }},
-      {"detach-recover-back", kDyn, 0x988af5a35fb4728e,
+      {"detach-recover-back", kDyn, 0x709087541c7767c9,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          auto txn = topo.begin_detach_switch(s.built.leaves[3]);
          topo.txn_mutate(txn);  // dies before the re-route plan
          EXPECT_EQ(s.vsf->journal().recover(*s.sm).rolled_back, 1u);
        }},
-      {"attach-recover-back", kDyn, 0xccc1bb4d5bbf78f9,
+      {"attach-recover-back", kDyn, 0x143a85f9cde7377e,
        [](VirtualSubnet& s, sm::TopologyTxnManager& topo) {
          auto txn = begin_attach(s, topo);
          topo.txn_mutate(txn);
