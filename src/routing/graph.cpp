@@ -1,6 +1,7 @@
 #include "routing/graph.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <numeric>
 
 #include "util/thread_pool.hpp"
@@ -9,31 +10,53 @@ namespace ibvs::routing {
 
 namespace {
 
-/// Smallest run of BFS sources one pool worker fills hop-matrix rows for.
-/// On the 648-node tree (54 switches, 4 cores) the matrix takes ~95 us
-/// inline and ~60 us as six ranges.
-constexpr std::size_t kMinSourcesPerRange = 8;
+/// Sources one multi-source search runs together: one bit of a word each.
+constexpr std::size_t kBatch = 64;
 
-/// Hop counts from `src` to every switch, by breadth-first search: writes
-/// row[t] for each reachable t (saturating at 0xFE). `row` holds S entries,
-/// all 0xFF (unreachable) on entry; `queue` is S entries of scratch. The one
-/// BFS kernel behind switch_hop_matrix() and HopMatrix::update().
-void bfs_hop_row(const SwitchGraph& graph, SwitchIdx src, std::uint8_t* row,
-                 SwitchIdx* queue) {
-  row[src] = 0;
-  std::size_t head = 0;
-  std::size_t tail = 0;
-  queue[tail++] = src;
-  while (head < tail) {
-    const SwitchIdx u = queue[head++];
-    const std::uint8_t du = row[u];
-    if (du == 0xFE) continue;  // saturate rather than wrap
-    const auto [first, last] = graph.out(u);
-    for (const auto* e = first; e != last; ++e) {
-      if (row[e->to] != 0xFF) continue;
-      row[e->to] = static_cast<std::uint8_t>(du + 1);
-      queue[tail++] = e->to;
+/// Hop counts from up to 64 sources at once (multi-source BFS, Then et al.,
+/// "The More the Merrier", PVLDB 2014): bit i of a switch's `seen` and
+/// `frontier` words stands for srcs[i], whose row is rows + i * S. Each
+/// level pulls the frontier from a switch's out-edge ends (cables are
+/// symmetric, so they are its in-neighbours too) and writes the level into
+/// the rows of the bits it sets for the first time; the search stops after
+/// level 0xFE, where the one-source search saturated. The sources may come
+/// in any order. The rows hold S entries each, all 0xFF (unreachable) on
+/// entry; `words` is 3 * S words of scratch.
+void bfs_hop_rows(const SwitchGraph& graph, const SwitchIdx* srcs,
+                  std::size_t n, std::uint8_t* rows, std::uint64_t* words) {
+  const std::size_t s_count = graph.num_switches();
+  std::uint64_t* seen = words;
+  std::uint64_t* frontier = words + s_count;
+  std::uint64_t* next = words + 2 * s_count;
+  const std::uint64_t all =
+      n == kBatch ? ~std::uint64_t{0} : (std::uint64_t{1} << n) - 1;
+  std::fill(seen, seen + s_count, 0);
+  std::fill(frontier, frontier + s_count, 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    seen[srcs[i]] |= std::uint64_t{1} << i;
+    frontier[srcs[i]] |= std::uint64_t{1} << i;
+    rows[i * s_count + srcs[i]] = 0;
+  }
+  for (unsigned level = 1; level <= 0xFE; ++level) {
+    bool grew = false;
+    for (std::size_t v = 0; v < s_count; ++v) {
+      next[v] = 0;
+      if (seen[v] == all) continue;
+      std::uint64_t reached = 0;
+      const auto [first, last] = graph.out(static_cast<SwitchIdx>(v));
+      for (const auto* e = first; e != last; ++e) reached |= frontier[e->to];
+      reached &= ~seen[v];
+      if (reached == 0) continue;
+      grew = true;
+      seen[v] |= reached;
+      next[v] = reached;
+      for (std::uint64_t bits = reached; bits != 0; bits &= bits - 1) {
+        rows[static_cast<std::size_t>(std::countr_zero(bits)) * s_count + v] =
+            static_cast<std::uint8_t>(level);
+      }
     }
+    if (!grew) break;
+    std::swap(frontier, next);
   }
 }
 
@@ -109,23 +132,6 @@ void SwitchGraph::rebuild_targets(const Fabric& fabric, const LidMap& lids) {
   }
 }
 
-std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph) {
-  const std::size_t s_count = graph.num_switches();
-  std::vector<std::uint8_t> hops(s_count * s_count, 0xFF);
-  if (s_count == 0) return hops;
-
-  ThreadPool::global().parallel_ranges(
-      0, s_count, kMinSourcesPerRange,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<SwitchIdx> queue(s_count);
-        for (std::size_t src = begin; src < end; ++src) {
-          bfs_hop_row(graph, static_cast<SwitchIdx>(src),
-                      hops.data() + src * s_count, queue.data());
-        }
-      });
-  return hops;
-}
-
 std::size_t HopMatrix::update(const SwitchGraph& graph) {
   const std::size_t s_count = graph.num_switches();
   const bool cold =
@@ -187,24 +193,33 @@ std::size_t HopMatrix::update(const SwitchGraph& graph) {
     }
   }
 
+  // One range per batch of 64 rows at least: a 54-switch search runs
+  // inline, a 972-switch one in 16 ranges.
+  const std::size_t batches = (search.size() + kBatch - 1) / kBatch;
   ThreadPool::global().parallel_ranges(
-      0, search.size(), kMinSourcesPerRange,
-      [&](std::size_t begin, std::size_t end) {
-        std::vector<SwitchIdx> queue(s_count);
-        std::vector<std::uint8_t> scratch(s_count);
-        for (std::size_t k = begin; k < end; ++k) {
-          const SwitchIdx src = search[k];
-          std::fill(scratch.begin(), scratch.end(), 0xFF);
-          bfs_hop_row(graph, src, scratch.data(), queue.data());
-          std::uint8_t* row = hops.data() + std::size_t{src} * s_count;
-          if (std::equal(scratch.begin(), scratch.end(), row)) continue;
-          std::uint64_t* bits = changed.data() + std::size_t{src} * row_words;
-          for (std::size_t t = 0; t < s_count; ++t) {
-            if (row[t] != scratch[t]) {
-              bits[t / 64] |= std::uint64_t{1} << t % 64;
+      0, batches, 1, [&](std::size_t begin, std::size_t end) {
+        std::vector<std::uint64_t> words(3 * s_count);
+        std::vector<std::uint8_t> scratch(kBatch * s_count);
+        for (std::size_t b = begin; b < end; ++b) {
+          const std::size_t first = b * kBatch;
+          const std::size_t n = std::min(kBatch, search.size() - first);
+          std::fill_n(scratch.begin(), n * s_count, std::uint8_t{0xFF});
+          bfs_hop_rows(graph, search.data() + first, n, scratch.data(),
+                       words.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            const SwitchIdx src = search[first + i];
+            const std::uint8_t* fresh = scratch.data() + i * s_count;
+            std::uint8_t* row = hops.data() + std::size_t{src} * s_count;
+            if (std::equal(fresh, fresh + s_count, row)) continue;
+            std::uint64_t* bits =
+                changed.data() + std::size_t{src} * row_words;
+            for (std::size_t t = 0; t < s_count; ++t) {
+              if (row[t] != fresh[t]) {
+                bits[t / 64] |= std::uint64_t{1} << t % 64;
+              }
             }
+            std::copy(fresh, fresh + s_count, row);
           }
-          std::copy(scratch.begin(), scratch.end(), row);
         }
       });
   adj_offset = graph.adj_offset;

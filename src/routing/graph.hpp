@@ -79,11 +79,6 @@ struct SwitchGraph {
   void rebuild_targets(const Fabric& fabric, const LidMap& lids);
 };
 
-/// Hop-count matrix between switches (row-major, S*S, 0xFF = unreachable),
-/// searched from scratch: one BFS per source, in parallel, through the same
-/// kernel as HopMatrix::update(). The reference HopMatrix is tested against.
-std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
-
 /// The switch hop matrix of a graph that changes a few cables at a time,
 /// kept current in place. The subnet manager owns one beside its master
 /// tables; Min-Hop, the topology planners and journal recovery all read it.
@@ -93,7 +88,9 @@ std::vector<std::uint8_t> switch_hop_matrix(const SwitchGraph& graph);
 /// neighbours' changed-cell rows into one mask: its set bits are the target
 /// switches whose choices may differ from the last run's.
 struct HopMatrix {
-  std::vector<std::uint8_t> hops;         ///< switch_hop_matrix() layout
+  /// Hop counts between switches: row u, column t at u * S + t, saturating
+  /// at 0xFE, 0xFF = unreachable.
+  std::vector<std::uint8_t> hops;
   std::vector<std::uint32_t> adj_offset;  ///< CSR `hops` was computed on
   std::vector<SwitchGraph::Edge> edges;
   /// Cells changed since clear_changes(), one bit per (row u, column t):
@@ -121,8 +118,9 @@ struct HopMatrix {
   /// `graph`: then no path got shorter and every switch kept a parent one
   /// level up. Cables are symmetric, so v's in-neighbours are its out-edge
   /// ends. A row with 0xFE (where the search saturates) at either end of a
-  /// changed edge is always searched. Each searched row goes into a scratch
-  /// row, is compared with the stored one, then copied over it.
+  /// changed edge is always searched. The searched rows go through one
+  /// multi-source BFS per 64 of them, fanned out over the pool, into scratch
+  /// rows; each is compared with the stored one, then copied over it.
   ///
   /// Cold, every row is searched and every switch's edges count as changed:
   /// when `hops` does not hold S*S entries (it is first reset to

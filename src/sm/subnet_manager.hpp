@@ -110,7 +110,7 @@ class SubnetManager {
   /// row: the full recompute OpenSM runs.
   void invalidate_routes();
 
-  /// The switch hop matrix of routing_result().graph (switch_hop_matrix()
+  /// The switch hop matrix of routing_result().graph (HopMatrix::hops
   /// layout), brought up to date on demand by searching only the rows the
   /// cables changed since it was last current. The topology planners and
   /// journal recovery read it; routing runs update the same matrix.

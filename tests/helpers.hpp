@@ -2,6 +2,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -24,6 +25,35 @@ inline std::vector<CableSpec> switch_cables(const Fabric& fabric) {
     }
   }
   return out;
+}
+
+/// Hop-count matrix between switches in HopMatrix::hops's layout (row-major,
+/// S*S, saturating at 0xFE, 0xFF = unreachable), searched from scratch one
+/// source at a time by a plain breadth-first search: the reference the SM's
+/// batched multi-source search is tested against.
+inline std::vector<std::uint8_t> switch_hop_matrix(
+    const routing::SwitchGraph& graph) {
+  const std::size_t s_count = graph.num_switches();
+  std::vector<std::uint8_t> hops(s_count * s_count, 0xFF);
+  std::vector<routing::SwitchIdx> queue(s_count);
+  for (std::size_t src = 0; src < s_count; ++src) {
+    std::uint8_t* row = hops.data() + src * s_count;
+    row[src] = 0;
+    std::size_t head = 0;
+    std::size_t tail = 0;
+    queue[tail++] = static_cast<routing::SwitchIdx>(src);
+    while (head < tail) {
+      const routing::SwitchIdx u = queue[head++];
+      if (row[u] == 0xFE) continue;  // saturate rather than wrap
+      const auto [first, last] = graph.out(u);
+      for (const auto* e = first; e != last; ++e) {
+        if (row[e->to] != 0xFF) continue;
+        row[e->to] = static_cast<std::uint8_t>(row[u] + 1);
+        queue[tail++] = e->to;
+      }
+    }
+  }
+  return hops;
 }
 
 /// A physical (non-virtualized) subnet with an SM on host 0.

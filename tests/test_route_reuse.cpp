@@ -507,8 +507,8 @@ TEST(RouteReuse, FlapWalksNothingAndAPodSpineKillStopsEarly) {
 /// Rows of the hop matrix that differ between two graphs of one switch set.
 std::size_t hop_rows_changed(const routing::SwitchGraph& before,
                              const routing::SwitchGraph& after) {
-  const std::vector<std::uint8_t> a = routing::switch_hop_matrix(before);
-  const std::vector<std::uint8_t> b = routing::switch_hop_matrix(after);
+  const std::vector<std::uint8_t> a = test::switch_hop_matrix(before);
+  const std::vector<std::uint8_t> b = test::switch_hop_matrix(after);
   const std::size_t s_count = after.num_switches();
   std::size_t changed = 0;
   for (std::size_t u = 0; u < s_count; ++u) {

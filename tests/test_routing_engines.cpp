@@ -212,10 +212,10 @@ TEST(FatTreeMultipath, DistinctLidsSameLeafCanUseDifferentSpines) {
   EXPECT_GT(used.size(), 1u);
 }
 
-// HopMatrix::update() against a fresh switch_hop_matrix() after random
-// batches of cable changes: one cable, several, all of one switch's, and a
-// removal with an addition. A long line saturates the search (0xFE) and
-// cuts disconnect it.
+// HopMatrix::update() against the one-source reference
+// test::switch_hop_matrix() after random batches of cable changes: one
+// cable, several, all of one switch's, and a removal with an addition. A
+// long line saturates the search (0xFE) and cuts disconnect it.
 
 /// The cells where two S*S matrices differ, in HopMatrix::changed's
 /// layout: bit t % 64 of word u * words + t / 64.
@@ -257,8 +257,8 @@ struct HopTally {
 
 /// Runs `batches` random batches of cable changes on `fabric`. After each,
 /// the matrix brought up to date by HopMatrix::update() must equal a fresh
-/// switch_hop_matrix(), its changed cells a brute-force cell diff of the
-/// old and new matrices and its changed edges a per-switch comparison.
+/// test::switch_hop_matrix(), its changed cells a brute-force cell diff of
+/// the old and new matrices and its changed edges a per-switch comparison.
 /// Every third batch piles onto the previous one without clear_changes():
 /// the cells must then be the union over both batches.
 HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
@@ -324,7 +324,7 @@ HopTally run_random_deltas(Fabric& fabric, std::uint64_t seed,
     }
     const routing::SwitchGraph next = routing::SwitchGraph::build(fabric, lids);
     const std::size_t s_count = next.num_switches();
-    const std::vector<std::uint8_t> expected = routing::switch_hop_matrix(next);
+    const std::vector<std::uint8_t> expected = test::switch_hop_matrix(next);
     const std::vector<std::uint64_t> want =
         changed_cells(matrix.hops, expected, s_count);
     std::vector<bool> moved(s_count);
@@ -393,13 +393,107 @@ TEST(HopMatrix, LongLineMatchesFreshSearch) {
   expect_selective(run_random_deltas(fabric, /*seed=*/5, /*batches=*/80));
 }
 
+/// Brings `matrix` up to date with `fabric`, expects it to equal the
+/// one-source reference and returns the rows update() searched.
+std::size_t expect_reference(routing::HopMatrix& matrix, const Fabric& fabric,
+                             const std::string& what) {
+  const LidMap lids;
+  const auto graph = routing::SwitchGraph::build(fabric, lids);
+  const std::size_t searched = matrix.update(graph);
+  EXPECT_EQ(matrix.hops, test::switch_hop_matrix(graph)) << what;
+  return searched;
+}
+
+/// Disconnects every cable of `sw`.
+void isolate(Fabric& fabric, NodeId sw) {
+  for (const CableSpec& c : fabric.cables_of(sw)) {
+    fabric.disconnect(c.a, c.port_a);
+  }
+}
+
+// The multi-source search runs 64 rows at a time. Fabrics around a batch:
+// a partial one (63 switches), an exactly full one (64, where the batch's
+// mask is every bit), one past it (65) and several (130); each also with a
+// switch left without a cable. The 320-switch line saturates at 0xFE past
+// 254 hops and is then split in two. On the 5832-node tree, updates after
+// spine-core cuts in four pods search a scattered list of rows spread over
+// several batches, and a spine kill searches every row.
+TEST(HopMatrix, BatchedSearchMatchesScalarReference) {
+  for (const std::size_t n : {63, 64, 65, 130}) {
+    Fabric fabric;
+    topology::build_irregular(
+        fabric, topology::IrregularParams{.num_switches = n,
+                                          .hosts_per_switch = 2,
+                                          .extra_links = n / 2,
+                                          .radix = 12,
+                                          .seed = n});
+    const std::string what = std::to_string(n) + " switches";
+    routing::HopMatrix matrix;
+    EXPECT_EQ(expect_reference(matrix, fabric, what), n);
+    isolate(fabric, fabric.switch_ids()[n / 2]);
+    expect_reference(matrix, fabric, what + ", one isolated");
+    matrix.reset();
+    EXPECT_EQ(expect_reference(matrix, fabric, what + ", cold"), n);
+  }
+
+  {
+    Fabric fabric;
+    const auto built = topology::build_ring(fabric, 320, 2, 8);
+    fabric.disconnect(built.leaves.front(), 8);
+    routing::HopMatrix matrix;
+    expect_reference(matrix, fabric, "line");
+    EXPECT_GT(std::count(matrix.hops.begin(), matrix.hops.end(), 0xFE), 0);
+    fabric.disconnect(built.leaves[160], 8);
+    expect_reference(matrix, fabric, "split line");
+    matrix.reset();
+    EXPECT_EQ(expect_reference(matrix, fabric, "split line, cold"), 320u);
+    EXPECT_GT(std::count(matrix.hops.begin(), matrix.hops.end(), 0xFF), 0);
+  }
+
+  Fabric fabric;
+  const auto built =
+      topology::build_paper_fat_tree(fabric, topology::PaperFatTree::k5832);
+  const std::size_t s_count = built.num_switches();
+  routing::HopMatrix matrix;
+  EXPECT_EQ(expect_reference(matrix, fabric, "5832"), s_count);
+  for (const std::size_t pod : {0, 5, 11, 17}) {
+    const NodeId spine = built.spines[pod * built.spines.size() / 18];
+    for (const CableSpec& c : fabric.cables_of(spine)) {
+      const NodeId other = c.a == spine ? c.b : c.a;
+      if (std::find(built.cores.begin(), built.cores.end(), other) !=
+          built.cores.end()) {
+        fabric.disconnect(c.a, c.port_a);
+        break;
+      }
+    }
+  }
+  matrix.clear_changes();
+  const std::size_t searched =
+      expect_reference(matrix, fabric, "5832, four spine-core cuts");
+  EXPECT_GT(searched, 2 * std::size_t{64});
+  EXPECT_LT(searched, s_count);
+  // The changed rows are not one contiguous run.
+  std::vector<std::size_t> rows;
+  for (std::size_t u = 0; u < s_count; ++u) {
+    const auto* row = matrix.changed_row(static_cast<routing::SwitchIdx>(u));
+    if (std::any_of(row, row + matrix.row_words,
+                    [](std::uint64_t w) { return w != 0; })) {
+      rows.push_back(u);
+    }
+  }
+  ASSERT_FALSE(rows.empty());
+  EXPECT_LT(rows.size(), rows.back() - rows.front() + 1);
+  isolate(fabric, built.spines[1]);
+  EXPECT_EQ(expect_reference(matrix, fabric, "5832, spine kill"), s_count);
+}
+
 TEST(HopMatrix, ColdSearchesEveryRowAndNoChangeSearchesNone) {
   Fabric fabric;
   topology::build_paper_fat_tree(fabric, topology::PaperFatTree::k648);
   const LidMap lids;
   const auto graph = routing::SwitchGraph::build(fabric, lids);
   const std::size_t s_count = graph.num_switches();
-  const std::vector<std::uint8_t> fresh = routing::switch_hop_matrix(graph);
+  const std::vector<std::uint8_t> fresh = test::switch_hop_matrix(graph);
   const std::vector<bool> every(s_count, true);
 
   // Cold, every reachable cell changed from unreachable.

@@ -422,7 +422,7 @@ TEST(TopologyTxn, HopMatrixStaysCurrent) {
     }
     if (rng.below(3) == 0) sm.reconverge();
     ASSERT_EQ(sm.hop_matrix(),
-              routing::switch_hop_matrix(sm.routing_result().graph))
+              test::switch_hop_matrix(sm.routing_result().graph))
         << "step " << step << ", kind " << kind;
   }
   EXPECT_GT(attaches, 0u);
